@@ -1,11 +1,10 @@
 """Command-line interface: coefficient tables, stencils, convergence studies.
 
-Formula ids come in a short form, family letter(s) plus accuracy order:
-``B6`` (standard backward), ``F8`` (standard forward), ``BC10``
-(backward-centered), ``FC4`` (forward-centered), ``IC6`` (interior-centered
-derivative), ``C8`` (centered half-point derivative), ``CA6`` (centered
-half-point value); and a long form naming the family parameter directly,
-e.g. ``centered:p=3``.  Centered families only exist at even orders.
+Formula ids come in a short form, a family prefix plus accuracy order
+(``B6``, ``BC10``, ``IC6``, ``C8``), and a long form naming the family
+parameter directly (``centered:p=3``).  :data:`fdcorr.defcor.FAMILIES` lists
+every family with its prefix and aliases.  Centered families only exist at
+even orders.
 
 Interior-centered formulas approximate at the midpoint of an interval whose
 endpoints are their widest nodes; for ``study`` the given ``x0`` is that
@@ -22,66 +21,31 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .defcor import (
-    CorrectionFormula,
-    backward_centered,
-    centered_average_formula,
-    centered_formula,
-    forward_centered,
-    interior_centered,
-    standard_backward,
-    standard_forward,
-)
-from .exactmath import format_rational
+from .defcor import FAMILIES, CorrectionFormula, Family, catalog, forward_centered
+from .exactmath import Rational, format_rational
 from .numdiff import ConvergenceReport, convergence_study
 from .stencil import flatten, oracle_weights, verify
 
 __all__ = ["main", "console_main", "parse_formula_id", "formula_from_id"]
 
-_FAMILY_ALIASES = {
-    "centered": "centered",
-    "c": "centered",
-    "centered-average": "centered-average",
-    "ca": "centered-average",
-    "average": "centered-average",
-    "interior": "interior-centered",
-    "interior-centered": "interior-centered",
-    "ic": "interior-centered",
-    "interior-centered-value": "interior-centered-value",
-    "forward-centered": "forward-centered",
-    "fc": "forward-centered",
-    "backward-centered": "backward-centered",
-    "bc": "backward-centered",
-    "standard-forward": "standard-forward",
-    "forward": "standard-forward",
-    "f": "standard-forward",
-    "standard-backward": "standard-backward",
-    "backward": "standard-backward",
-    "b": "standard-backward",
-}
-
-_SHORT_PREFIXES = {
-    "BC": "backward-centered",
-    "FC": "forward-centered",
-    "IC": "interior-centered",
-    "CA": "centered-average",
-    "B": "standard-backward",
-    "F": "standard-forward",
-    "C": "centered",
-}
-
-_CENTERED_FAMILIES = {
-    "centered",
-    "centered-average",
-    "interior-centered",
-    "interior-centered-value",
-}
+# Longest spacing grid ``study`` accepts.
+_MAX_SPACINGS = 100_000
 
 
 class FormulaIdError(ValueError):
     pass
+
+
+def _family_named(name: str) -> Family | None:
+    key = name.lower()
+    return next((f for f in FAMILIES if key == f.name or key in f.aliases), None)
+
+
+def _check_param(family: Family, p: int, context: str) -> None:
+    if p < family.min_p:
+        raise FormulaIdError(f"{context}: {family.name} needs p >= {family.min_p}")
 
 
 def parse_formula_id(formula_id: str) -> tuple[str, int]:
@@ -89,51 +53,32 @@ def parse_formula_id(formula_id: str) -> tuple[str, int]:
     text = formula_id.strip()
     long_form = re.fullmatch(r"([a-z-]+):p=(\d+)", text, re.IGNORECASE)
     if long_form:
-        family = _FAMILY_ALIASES.get(long_form.group(1).lower())
+        family = _family_named(long_form.group(1))
         if family is None:
             raise FormulaIdError(f"unknown family in {formula_id!r}")
-        return family, int(long_form.group(2))
+        p = int(long_form.group(2))
+        _check_param(family, p, repr(formula_id))
+        return family.name, p
     short = re.fullmatch(r"([A-Za-z]+)(\d+)", text)
     if short:
-        family = _SHORT_PREFIXES.get(short.group(1).upper())
+        prefix = short.group(1).upper()
+        family = next((f for f in FAMILIES if f.prefix == prefix), None)
         if family is None:
             raise FormulaIdError(f"unknown family prefix in {formula_id!r}")
-        order = int(short.group(2))
-        if family in _CENTERED_FAMILIES:
-            if order % 2 or order < 4:
-                raise FormulaIdError(
-                    f"{formula_id!r}: centered families exist at even orders >= 4"
-                )
-            return family, (order - 2) // 2
-        if order < 2:
-            raise FormulaIdError(f"{formula_id!r}: order must be at least 2")
-        return family, order
+        p = family.param(int(short.group(2)))
+        if p is None:
+            orders = "even orders" if family.centered else "orders"
+            lowest = family.order(family.min_p)
+            raise FormulaIdError(
+                f"{formula_id!r}: {family.name} formulas exist at {orders} >= {lowest}"
+            )
+        return family.name, p
     raise FormulaIdError(f"cannot parse formula id {formula_id!r}")
 
 
 def formula_from_id(formula_id: str) -> CorrectionFormula:
-    family, p = parse_formula_id(formula_id)
-    return _build_formula(family, p)
-
-
-def _build_formula(family: str, p: int) -> CorrectionFormula:
-    if family == "centered":
-        return centered_formula(p)
-    if family == "centered-average":
-        return centered_average_formula(p)
-    if family == "interior-centered":
-        return interior_centered(p)[0]
-    if family == "interior-centered-value":
-        return interior_centered(p)[1]
-    if family == "forward-centered":
-        return forward_centered(p)
-    if family == "backward-centered":
-        return backward_centered(p)
-    if family == "standard-forward":
-        return standard_forward(p)
-    if family == "standard-backward":
-        return standard_backward(p)
-    raise FormulaIdError(f"unknown family {family!r}")
+    name, p = parse_formula_id(formula_id)
+    return _family_named(name).build(p)[0]
 
 
 def _json_dumps(obj: dict) -> str:
@@ -146,64 +91,54 @@ def _json_dumps(obj: dict) -> str:
 # coeffs
 
 
-def _coeff_row(formula: CorrectionFormula) -> list[tuple[str, str]]:
-    row = [
-        (f"i={i}", format_rational(v))
-        for i, v in sorted(formula.family_coefficients.items())
-    ]
-    return row
+def _coeff_row(coefficients: Mapping[int, Rational]) -> list[tuple[str, str]]:
+    return [(f"i={i}", format_rational(v)) for i, v in sorted(coefficients.items())]
 
 
 def cmd_coeffs(args: argparse.Namespace) -> int:
-    family = _FAMILY_ALIASES.get(args.family.lower())
+    family = _family_named(args.family)
     if family is None:
         raise FormulaIdError(f"unknown family {args.family!r}")
     p = args.p
-    if family == "interior-centered":
-        deriv, value = interior_centered(p)
-        if args.json:
-            print(
-                _json_dumps(
-                    {"derivative": deriv.to_json_dict(), "value": value.to_json_dict()}
-                )
-            )
-            return 0
-        merged = dict(value.family_coefficients)
-        merged.update(deriv.family_coefficients)
-        print(f"interior-centered coefficients, p={p} (order {deriv.order})")
-        _print_row([(f"i={i}", format_rational(v)) for i, v in sorted(merged.items())])
-        print(
-            "error constants: derivative "
-            f"{format_rational(deriv.error_constant)}, value "
-            f"{format_rational(value.error_constant)}"
-        )
-        return 0
-
-    if family in ("forward-centered", "backward-centered"):
+    _check_param(family, p, "coeffs")
+    if family.name in ("forward-centered", "backward-centered") and not args.json:
         # Both variants share one table: the backward coefficients equal the
         # forward ones at i=2 and are their negatives from i=3 on.
         table_formula = forward_centered(p)
-        if args.json:
-            print(_json_dumps(_build_formula(family, p).to_json_dict()))
-            return 0
-        print(f"{family} coefficients, p={p} (order {table_formula.order})")
-        row = _coeff_row(table_formula)
+        print(f"{family.name} coefficients, p={p} (order {table_formula.order})")
+        row = _coeff_row(table_formula.family_coefficients)
         row.append(
             (f"i={p + 1}", format_rational(table_formula.error_constant))
         )
         _print_row(row)
         print(f"(the i={p + 1} entry is the error constant)")
-        if family == "backward-centered":
+        if family.name == "backward-centered":
             print("backward variant: i=2 entry shared, signs flip from i=3 on")
         return 0
 
-    formula = _build_formula(family, p)
+    # A generator call may yield a derivative and a value formula together
+    # (interior-centered); they print as one table and one JSON object.
+    formulas = family.build(p)
+    roles = ("value", "derivative")
     if args.json:
-        print(_json_dumps(formula.to_json_dict()))
+        if len(formulas) == 1:
+            payload = formulas[0].to_json_dict()
+        else:
+            payload = {roles[f.m]: f.to_json_dict() for f in formulas}
+        print(_json_dumps(payload))
         return 0
-    print(f"{family} coefficients, p={p} (order {formula.order})")
-    _print_row(_coeff_row(formula))
-    print(f"error constant: {format_rational(formula.error_constant)}")
+    merged: dict[int, Rational] = {}
+    for formula in formulas:
+        merged.update(formula.family_coefficients)
+    print(f"{family.name} coefficients, p={p} (order {formulas[0].order})")
+    _print_row(_coeff_row(merged))
+    if len(formulas) == 1:
+        print(f"error constant: {format_rational(formulas[0].error_constant)}")
+    else:
+        constants = ", ".join(
+            f"{roles[f.m]} {format_rational(f.error_constant)}" for f in formulas
+        )
+        print(f"error constants: {constants}")
     return 0
 
 
@@ -287,11 +222,25 @@ def _resolve_function(name: str) -> tuple[Callable[[float], float], Callable[[fl
     return u, du
 
 
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise FormulaIdError(f"{name} must be finite, got {value}")
+
+
 def _spacing_grid(h_max: float, h_min: float, factor: float) -> list[float]:
+    for name, value in (("--h-max", h_max), ("--h-min", h_min), ("--h-factor", factor)):
+        _require_finite(name, value)
     if h_max <= 0 or h_min <= 0 or h_max < h_min:
         raise FormulaIdError("need 0 < h-min <= h-max")
     if factor <= 1.0:
         raise FormulaIdError("h-factor must exceed 1")
+    # Size the grid before building it: a factor just above 1 or a huge
+    # h-max/h-min ratio would otherwise allocate millions of spacings.
+    if (math.log(h_max) - math.log(h_min)) / math.log(factor) >= _MAX_SPACINGS:
+        raise FormulaIdError(
+            f"spacing grid from {h_max} to {h_min} by factor {factor} "
+            f"has more than {_MAX_SPACINGS} spacings"
+        )
     grid = []
     h = h_max
     while h >= h_min * (1.0 - 1e-12):
@@ -317,6 +266,7 @@ def cmd_study(args: argparse.Namespace) -> int:
     if not ids:
         raise FormulaIdError("no formula ids given")
     u, du = _resolve_function(args.function)
+    _require_finite("x0", args.x0)
     grid = _spacing_grid(args.h_max, args.h_min, args.h_factor)
     csv_dir = Path(args.csv_dir)
     csv_dir.mkdir(parents=True, exist_ok=True)
@@ -353,23 +303,9 @@ def cmd_study(args: argparse.Namespace) -> int:
 # verify-all
 
 
-def _all_formulas(max_order: int):
-    for p in range(1, (max_order - 2) // 2 + 1):
-        yield centered_formula(p)
-        yield centered_average_formula(p)
-        deriv, value = interior_centered(p)
-        yield deriv
-        yield value
-    for p in range(2, max_order + 1):
-        yield forward_centered(p)
-        yield backward_centered(p)
-        yield standard_forward(p)
-        yield standard_backward(p)
-
-
 def cmd_verify_all(args: argparse.Namespace) -> int:
-    failures = 0
-    for formula in _all_formulas(args.max_order):
+    checked = failures = 0
+    for formula in catalog(args.max_order):
         st = flatten(formula)
         check = verify(st)
         reference = oracle_weights(st.offsets, st.m, st.order)
@@ -380,7 +316,11 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
         if not matches:
             detail += "; weights disagree with the moment-system solution"
         print(f"{status} {st.provenance}: {detail}")
+        checked += 1
         failures += 0 if ok else 1
+    if not checked:
+        raise FormulaIdError(f"--max-order {args.max_order} selects no formula")
+    print(f"checked {checked} formulas, {failures} failed")
     if failures:
         print(f"{failures} formula(s) failed verification", file=sys.stderr)
         return 1
@@ -392,58 +332,43 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--json", action="store_true", help="emit JSON output")
-    shared.add_argument(
-        "--csv-dir", default=".", help="directory for CSV output (study)"
-    )
-    shared.add_argument(
-        "--h-max", type=float, default=0.01, help="largest spacing (study)"
-    )
-    shared.add_argument(
-        "--h-min",
-        type=float,
-        default=0.01 * 2.0**-14,
-        help="smallest spacing (study)",
-    )
-    shared.add_argument(
-        "--h-factor", type=float, default=2.0, help="spacing reduction factor (study)"
-    )
-    shared.add_argument(
-        "--gnuplot", action="store_true", help="write a plot script beside the CSVs"
-    )
-
     parser = argparse.ArgumentParser(
         prog="fdcorr",
         description="Finite-difference formulas by iterated error-series correction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    coeffs = sub.add_parser(
-        "coeffs", parents=[shared], help="print a family's exact coefficient table"
+    coeffs = sub.add_parser("coeffs", help="print a family's exact coefficient table")
+    coeffs.add_argument(
+        "family", help=" | ".join(f.name for f in FAMILIES) + ", or an alias"
     )
-    coeffs.add_argument("family", help="centered | ca | interior | fc | bc | f | b")
     coeffs.add_argument("p", type=int, help="family parameter")
+    coeffs.add_argument("--json", action="store_true", help="emit JSON output")
     coeffs.set_defaults(func=cmd_coeffs)
 
-    stencil_cmd = sub.add_parser(
-        "stencil", parents=[shared], help="flatten a formula id to a JSON stencil"
-    )
+    stencil_cmd = sub.add_parser("stencil", help="flatten a formula id to a JSON stencil")
     stencil_cmd.add_argument("formula_id", help="e.g. B6, BC10, IC6, C8, centered:p=3")
     stencil_cmd.set_defaults(func=cmd_stencil)
 
-    study = sub.add_parser(
-        "study", parents=[shared], help="convergence study on a decreasing h grid"
-    )
+    study = sub.add_parser("study", help="convergence study on a decreasing h grid")
     study.add_argument("formula_ids", help="comma-separated formula ids")
     study.add_argument("function", help="sin100pi | sin1000pi | poly:<expr>")
     study.add_argument("x0", type=float, help="evaluation point")
+    study.add_argument("--csv-dir", default=".", help="directory for CSV output")
+    study.add_argument("--h-max", type=float, default=0.01, help="largest spacing")
+    study.add_argument(
+        "--h-min", type=float, default=0.01 * 2.0**-14, help="smallest spacing"
+    )
+    study.add_argument(
+        "--h-factor", type=float, default=2.0, help="spacing reduction factor"
+    )
+    study.add_argument(
+        "--gnuplot", action="store_true", help="write a plot script beside the CSVs"
+    )
     study.set_defaults(func=cmd_study)
 
     verify_all = sub.add_parser(
-        "verify-all",
-        parents=[shared],
-        help="regenerate, flatten, and cross-check every family",
+        "verify-all", help="regenerate, flatten, and cross-check every family"
     )
     verify_all.add_argument(
         "--max-order", type=int, default=12, help="largest accuracy order to check"

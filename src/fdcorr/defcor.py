@@ -19,15 +19,16 @@ constant:
 
 The named generators (`centered_formula`, `forward_centered`, ...) are thin
 configurations of :func:`general_defcor`; each fixes a seed and a sequence of
-correction words and relabels the engine coefficients in the convention its
-defining identity is usually written in (``family_coefficients``).
+correction words, labels the result, and converts ``family_coefficients`` to
+the sign or scale its defining identity is usually written in.
+:data:`FAMILIES` lists the named families with their ids and generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .exactmath import Rational, RationalLike, format_rational
 from .gridops import OperatorExpr, word
@@ -36,6 +37,8 @@ from .taylorseries import default_truncation, error_series
 __all__ = [
     "CorrectionFormula",
     "DegenerateChoiceError",
+    "FAMILIES",
+    "Family",
     "general_defcor",
     "centered_formula",
     "centered_average_formula",
@@ -84,10 +87,6 @@ class CorrectionFormula:
     @property
     def evaluation_shift(self) -> Rational:
         return self.base_expr.base_shift
-
-    def term_coefficients(self) -> dict[int, Rational]:
-        """Subtracted coefficient per word differentiation order."""
-        return {expr.diff_order: coeff for coeff, expr in self.terms}
 
     def to_json_dict(self) -> dict:
         return {
@@ -201,10 +200,10 @@ def general_defcor(
     )
 
 
-def _relabel(
-    formula: CorrectionFormula, coefficients: Mapping[int, Rational], label: str
-) -> CorrectionFormula:
-    return replace(formula, family_coefficients=dict(coefficients), label=label)
+def _rescaled(formula: CorrectionFormula, factor: int) -> CorrectionFormula:
+    """``formula`` with its ``family_coefficients`` multiplied by ``factor``."""
+    coeffs = {i: factor * c for i, c in formula.family_coefficients.items()}
+    return replace(formula, family_coefficients=coeffs)
 
 
 def centered_formula(p: int) -> CorrectionFormula:
@@ -219,9 +218,9 @@ def centered_formula(p: int) -> CorrectionFormula:
         raise ValueError("p must be at least 1")
     base = word(cent=1)
     choices = [word(cent=1, fwd=i, bwd=i) for i in range(1, p + 1)]
-    formula = general_defcor(1, 2 * p + 2, choices, base=base, family="centered")
-    coeffs = {expr.diff_order: c for c, expr in formula.terms}
-    return _relabel(formula, coeffs, label=f"C{2 * p + 2}")
+    return general_defcor(
+        1, 2 * p + 2, choices, base=base, family="centered", label=f"C{2 * p + 2}"
+    )
 
 
 def centered_average_formula(p: int) -> CorrectionFormula:
@@ -233,13 +232,12 @@ def centered_average_formula(p: int) -> CorrectionFormula:
     """
     if p < 1:
         raise ValueError("p must be at least 1")
+    order = 2 * p + 2
     base = word(avg=1)
     choices = [word(avg=1, fwd=i, bwd=i) for i in range(1, p + 1)]
-    formula = general_defcor(
-        0, 2 * p + 2, choices, base=base, family="centered-average"
+    return general_defcor(
+        0, order, choices, base=base, family="centered-average", label=f"CA{order}"
     )
-    coeffs = {expr.diff_order: c for c, expr in formula.terms}
-    return _relabel(formula, coeffs, label=f"CA{2 * p + 2}")
 
 
 def interior_centered(p: int) -> tuple[CorrectionFormula, CorrectionFormula]:
@@ -265,20 +263,17 @@ def interior_centered(p: int) -> tuple[CorrectionFormula, CorrectionFormula]:
         [word(cent=1, fwd=i, bwd=i) for i in range(1, p + 1)],
         base=word(cent=1, spacing=span),
         family="interior-centered",
+        label=f"IC{2 * p + 2}",
     )
-    deriv_coeffs = {expr.diff_order: span * c for c, expr in deriv.terms}
-    deriv = _relabel(deriv, deriv_coeffs, label=f"IC{2 * p + 2}")
-
     value = general_defcor(
         0,
         2 * p + 2,
         [word(avg=1, fwd=i, bwd=i) for i in range(1, p + 1)],
         base=word(avg=1, spacing=span),
         family="interior-centered",
+        label=f"IC{2 * p + 2}-value",
     )
-    value_coeffs = {expr.diff_order: c for c, expr in value.terms}
-    value = _relabel(value, value_coeffs, label=f"IC{2 * p + 2}-value")
-    return deriv, value
+    return _rescaled(deriv, span), value
 
 
 def _mixed_words(upto: int) -> list[OperatorExpr]:
@@ -298,11 +293,10 @@ def forward_centered(p: int) -> CorrectionFormula:
     """
     if p < 2:
         raise ValueError("p must be at least 2")
-    formula = general_defcor(
-        1, p, _mixed_words(p), base=word(fwd=1), family="forward-centered"
+    choices = _mixed_words(p)
+    return general_defcor(
+        1, p, choices, base=word(fwd=1), family="forward-centered", label=f"FC{p}"
     )
-    coeffs = {expr.diff_order: c for c, expr in formula.terms}
-    return _relabel(formula, coeffs, label=f"FC{p}")
 
 
 def backward_centered(p: int) -> CorrectionFormula:
@@ -314,11 +308,11 @@ def backward_centered(p: int) -> CorrectionFormula:
     """
     if p < 2:
         raise ValueError("p must be at least 2")
+    choices = _mixed_words(p)
     formula = general_defcor(
-        1, p, _mixed_words(p), base=word(bwd=1), family="backward-centered"
+        1, p, choices, base=word(bwd=1), family="backward-centered", label=f"BC{p}"
     )
-    coeffs = {expr.diff_order: -c for c, expr in formula.terms}
-    return _relabel(formula, coeffs, label=f"BC{p}")
+    return _rescaled(formula, -1)
 
 
 def standard_forward(p: int) -> CorrectionFormula:
@@ -330,11 +324,9 @@ def standard_forward(p: int) -> CorrectionFormula:
     if p < 2:
         raise ValueError("p must be at least 2")
     choices = [word(fwd=i) for i in range(2, p + 1)]
-    formula = general_defcor(
-        1, p, choices, base=word(fwd=1), family="standard-forward"
+    return general_defcor(
+        1, p, choices, base=word(fwd=1), family="standard-forward", label=f"F{p}"
     )
-    coeffs = {expr.diff_order: c for c, expr in formula.terms}
-    return _relabel(formula, coeffs, label=f"F{p}")
 
 
 def standard_backward(p: int) -> CorrectionFormula:
@@ -349,7 +341,79 @@ def standard_backward(p: int) -> CorrectionFormula:
         raise ValueError("p must be at least 2")
     choices = [word(bwd=i) for i in range(2, p + 1)]
     formula = general_defcor(
-        1, p, choices, base=word(bwd=1), family="standard-backward"
+        1, p, choices, base=word(bwd=1), family="standard-backward", label=f"B{p}"
     )
-    coeffs = {expr.diff_order: -c for c, expr in formula.terms}
-    return _relabel(formula, coeffs, label=f"B{p}")
+    return _rescaled(formula, -1)
+
+
+# ---------------------------------------------------------------------------
+# the family registry
+
+
+@dataclass(frozen=True)
+class Family:
+    """One named family: how ids spell it, its parameter range, its generator.
+
+    Centered families have symmetric seeds, so parameter ``p`` reaches order
+    ``2p + 2`` and only even orders exist; the others reach order ``p``.
+    ``build(p)`` calls the generator and returns every formula that one call
+    yields; the first is the family's own formula.  ``listed`` is false for a
+    family whose formulas another entry's ``build`` already yields, so
+    :func:`catalog` builds each formula once.
+    """
+
+    name: str
+    prefix: str | None
+    aliases: tuple[str, ...]
+    centered: bool
+    min_p: int
+    build: Callable[[int], tuple[CorrectionFormula, ...]]
+    listed: bool = True
+
+    def order(self, p: int) -> int:
+        return 2 * p + 2 if self.centered else p
+
+    def param(self, order: int) -> int | None:
+        """The parameter whose formula has accuracy ``order``, if there is one."""
+        p = (order - 2) // 2 if self.centered else order
+        return p if p >= self.min_p and self.order(p) == order else None
+
+
+# Builders name the generators at call time rather than holding the function
+# objects, so a rebinding of a module attribute reaches every registry call.
+# The table order is the catalogue order.
+FAMILIES: tuple[Family, ...] = (
+    # name, prefix, aliases, centered, min_p, build
+    Family("centered", "C", ("c",), True, 1,
+           lambda p: (centered_formula(p),)),
+    Family("centered-average", "CA", ("ca", "average"), True, 1,
+           lambda p: (centered_average_formula(p),)),
+    Family("interior-centered", "IC", ("ic", "interior"), True, 1,
+           lambda p: interior_centered(p)),
+    Family("interior-centered-value", None, (), True, 1,
+           lambda p: interior_centered(p)[1:], listed=False),
+    Family("forward-centered", "FC", ("fc",), False, 2,
+           lambda p: (forward_centered(p),)),
+    Family("backward-centered", "BC", ("bc",), False, 2,
+           lambda p: (backward_centered(p),)),
+    Family("standard-forward", "F", ("f", "forward"), False, 2,
+           lambda p: (standard_forward(p),)),
+    Family("standard-backward", "B", ("b", "backward"), False, 2,
+           lambda p: (standard_backward(p),)),
+)
+
+
+# Not in ``__all__``: ``verify-all`` runs through this, and the exported names
+# are the ones the benchmark's tracer counts calls of.
+def catalog(max_order: int) -> Iterator[CorrectionFormula]:
+    """Every listed family's formulas up to accuracy order ``max_order``.
+
+    Centered families come first, then the one-sided ones; within each group
+    the parameter runs outermost and the families follow table order.
+    """
+    for centered in (True, False):
+        group = [f for f in FAMILIES if f.listed and f.centered is centered]
+        for p in range(1, max_order + 1):
+            for family in group:
+                if p >= family.min_p and family.order(p) <= max_order:
+                    yield from family.build(p)

@@ -30,9 +30,9 @@ from fdcorr import (
     oracle_weights,
     product_rule_check,
     standard_backward,
-    standard_forward,
     word,
 )
+from fdcorr.defcor import catalog
 
 
 def frac(n, d=1):
@@ -109,17 +109,7 @@ MIXED_NUMERATORS = {
 
 
 def all_families_to_order_12():
-    for p in range(1, 6):
-        yield centered_formula(p)
-        yield centered_average_formula(p)
-        deriv, value = interior_centered(p)
-        yield deriv
-        yield value
-    for p in range(2, 13):
-        yield forward_centered(p)
-        yield backward_centered(p)
-        yield standard_forward(p)
-        yield standard_backward(p)
+    yield from catalog(12)
 
 
 @criterion("1 coefficient tables", 1.0)

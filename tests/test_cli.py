@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from fdcorr.cli import FormulaIdError, main, parse_formula_id
+from fdcorr.cli import FormulaIdError, formula_from_id, main, parse_formula_id
+from fdcorr.defcor import FAMILIES, catalog
 
 
 def run(capsys, *argv):
@@ -32,10 +33,38 @@ class TestFormulaIds:
     def test_valid_ids(self, formula_id, expected):
         assert parse_formula_id(formula_id) == expected
 
-    @pytest.mark.parametrize("bad", ["C5", "C2", "IC7", "B1", "Q6", "centered", "x:p=2"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["C5", "C2", "IC7", "B1", "Q6", "centered", "x:p=2", "centered:p=0", "b:p=1"],
+    )
     def test_invalid_ids(self, bad):
         with pytest.raises(FormulaIdError):
             parse_formula_id(bad)
+
+
+class TestFamilies:
+    @pytest.mark.parametrize(
+        "family", [f for f in FAMILIES if f.prefix], ids=lambda f: f.name
+    )
+    def test_short_ids_round_trip_through_the_table(self, family):
+        for p in range(family.min_p, family.min_p + 3):
+            formula_id = f"{family.prefix}{family.order(p)}"
+            assert family.param(family.order(p)) == p
+            assert parse_formula_id(formula_id) == (family.name, p)
+            formula = formula_from_id(formula_id)
+            assert (formula.label, formula.family, formula.order) == (
+                formula_id,
+                family.name,
+                family.order(p),
+            )
+
+    def test_below_minimum_has_no_parameter(self):
+        for family in FAMILIES:
+            assert family.param(family.order(family.min_p - 1)) is None
+
+    def test_catalog_builds_each_label_once(self):
+        labels = [formula.label for formula in catalog(8)]
+        assert len(labels) == len(set(labels)) == 4 * 3 + 4 * 7
 
 
 class TestCoeffs:
@@ -68,6 +97,13 @@ class TestCoeffs:
         with pytest.raises(SystemExit) as excinfo:
             main(["coeffs", "mystery", "3"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("family, p", [("centered", "0"), ("b", "1")])
+    def test_parameter_below_minimum_exits_2(self, capsys, family, p):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["coeffs", family, p])
+        assert excinfo.value.code == 2
+        assert "needs p >=" in capsys.readouterr().err
 
 
 class TestStencil:
@@ -170,6 +206,37 @@ class TestStudy:
             main(["study", "B6", "poly:x^^3", "0", "--csv-dir", str(tmp_path)])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "x0, flags, named",
+        [
+            ("nan", [], "x0 must be finite, got nan"),
+            ("0", ["--h-max", "inf"], "--h-max must be finite, got inf"),
+            ("0", ["--h-min", "nan"], "--h-min must be finite, got nan"),
+            ("0", ["--h-factor", "nan"], "--h-factor must be finite, got nan"),
+        ],
+    )
+    def test_non_finite_input_exits_2(self, capsys, tmp_path, x0, flags, named):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["study", "C4", "sin100pi", x0, "--csv-dir", str(tmp_path), *flags])
+        assert excinfo.value.code == 2
+        assert named in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_grid_longer_than_limit_exits_2(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["study", "C4", "sin100pi", "0", "--csv-dir", str(tmp_path),
+                  "--h-factor", "1.000001"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "1.000001" in err and "100000 spacings" in err
+
+    def test_wide_spacing_range_is_counted_without_overflow(self, capsys, tmp_path):
+        # h-max / h-min overflows a float, yet the grid has only 1994 spacings
+        code, _, _ = run(capsys, "study", "C4", "sin100pi", "0", "--csv-dir",
+                         str(tmp_path), "--h-max", "1e300", "--h-min", "1e-300")
+        assert code == 0
+        assert len((tmp_path / "C4.csv").read_text().splitlines()) == 1 + 1994
+
 
 class TestVerifyAll:
     def test_everything_passes(self, capsys):
@@ -177,3 +244,33 @@ class TestVerifyAll:
         assert code == 0
         assert "FAIL" not in out
         assert out.count("PASS") >= 30
+
+    def test_ends_with_count_line(self, capsys):
+        code, out, _ = run(capsys, "verify-all", "--max-order", "6")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[-1] == "checked 28 formulas, 0 failed"
+        assert len(lines) == 29
+        assert all(line.startswith("PASS ") for line in lines[:-1])
+
+    def test_checking_nothing_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify-all", "--max-order", "1"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stencil", "C4", "--gnuplot", "--csv-dir", "x"],
+            ["verify-all", "--json"],
+            ["coeffs", "centered", "2", "--h-max", "0.1"],
+        ],
+    )
+    def test_flags_of_other_commands_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -12,7 +12,6 @@ from fdcorr import (
     centered_average_formula,
     centered_formula,
     flatten,
-    forward_centered,
     general_defcor,
     interior_centered,
     oracle_weights,
@@ -21,6 +20,7 @@ from fdcorr import (
     verify,
     word,
 )
+from fdcorr.defcor import catalog
 
 
 def frac(n, d=1):
@@ -149,17 +149,7 @@ class TestVerify:
 
 
 def all_families_to_order_12():
-    for p in range(1, 6):
-        yield centered_formula(p)
-        yield centered_average_formula(p)
-        deriv, value = interior_centered(p)
-        yield deriv
-        yield value
-    for p in range(2, 13):
-        yield forward_centered(p)
-        yield backward_centered(p)
-        yield standard_forward(p)
-        yield standard_backward(p)
+    yield from catalog(12)
 
 
 @pytest.mark.parametrize("formula", list(all_families_to_order_12()), ids=lambda f: f.label)
