@@ -22,25 +22,18 @@ from .defcor import (
     standard_backward,
     standard_forward,
 )
-from .exactmath import Rational, binom, format_rational, moment_sum, parse_rational, rational
+from .exactmath import Rational, binom, format_rational, moment_sum
 from .gridops import (
     GridFunction,
     GridRangeError,
     OperatorExpr,
-    RawStencil,
     apply,
     expand,
     normalize_composite,
     product_rule_check,
     word,
 )
-from .numdiff import (
-    ConvergenceReport,
-    apply_stencil,
-    apply_stencil_exact,
-    apply_to_samples,
-    convergence_study,
-)
+from .numdiff import ConvergenceReport, apply_stencil, convergence_study
 from .stencil import FlattenError, Stencil, StencilCheck, flatten, oracle_weights, verify
 from .taylorseries import ErrorSeries, default_truncation, error_series, series_from_nodes
 
@@ -56,13 +49,10 @@ __all__ = [
     "GridRangeError",
     "OperatorExpr",
     "Rational",
-    "RawStencil",
     "Stencil",
     "StencilCheck",
     "apply",
     "apply_stencil",
-    "apply_stencil_exact",
-    "apply_to_samples",
     "backward_centered",
     "binom",
     "centered_average_formula",
@@ -79,9 +69,7 @@ __all__ = [
     "moment_sum",
     "normalize_composite",
     "oracle_weights",
-    "parse_rational",
     "product_rule_check",
-    "rational",
     "series_from_nodes",
     "standard_backward",
     "standard_forward",

@@ -84,10 +84,6 @@ class CorrectionFormula:
                 {expr.diff_order: coeff for coeff, expr in self.terms},
             )
 
-    @property
-    def evaluation_shift(self) -> Rational:
-        return self.base_expr.base_shift
-
     def to_json_dict(self) -> dict:
         return {
             "family": self.family,

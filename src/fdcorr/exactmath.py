@@ -19,19 +19,10 @@ RationalLike = Union[Rational, int, str]
 __all__ = [
     "Rational",
     "RationalLike",
-    "rational",
     "binom",
     "moment_sum",
     "format_rational",
-    "parse_rational",
 ]
-
-
-def rational(value: RationalLike, denominator: int | None = None) -> Rational:
-    """Coerce an int, a string like ``"-3/640"``, or a num/den pair to a Fraction."""
-    if denominator is not None:
-        return Fraction(value, denominator)
-    return Fraction(value)
 
 
 def binom(n: int, j: int) -> int:
@@ -68,8 +59,3 @@ def format_rational(value: RationalLike) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_rational(text: str) -> Rational:
-    """Inverse of :func:`format_rational`."""
-    return Fraction(text.strip())

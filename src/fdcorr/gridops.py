@@ -33,7 +33,6 @@ from .exactmath import Rational, RationalLike, binom, format_rational
 
 __all__ = [
     "OperatorExpr",
-    "RawStencil",
     "GridFunction",
     "GridRangeError",
     "word",
@@ -145,32 +144,6 @@ def word(
     )
 
 
-@dataclass(frozen=True)
-class RawStencil:
-    """Flat node/weight form of a word, offsets in units of the global spacing.
-
-    The represented value is ``k**-scale_order * sum_j w_j u(base + o_j k)``
-    where ``base`` is the application point plus ``base_shift`` steps.
-    """
-
-    scale_order: int
-    base_shift: Rational
-    nodes: Mapping[Rational, Rational]
-
-    def sorted_nodes(self) -> list[tuple[Rational, Rational]]:
-        return sorted(self.nodes.items())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "scale_order": self.scale_order,
-            "base_shift": format_rational(self.base_shift),
-            "nodes": [
-                {"offset": format_rational(o), "weight": format_rational(w)}
-                for o, w in self.sorted_nodes()
-            ],
-        }
-
-
 # Elementary factors as {local offset: weight}, in units of the word's own step.
 _ELEMENTARY: tuple[tuple[str, tuple[tuple[Fraction, Fraction], ...]], ...] = (
     ("p_fwd", ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(-1)))),
@@ -191,12 +164,13 @@ def _convolve(
     return {o: w for o, w in out.items() if w}
 
 
-def expand(expr: OperatorExpr) -> RawStencil:
-    """Exact node/weight expansion of a word.
+def expand(expr: OperatorExpr) -> dict[Rational, Rational]:
+    """Exact ``{offset: weight}`` expansion of a word.
 
     Pure composites come out with alternating binomial weights; the word's
     spacing factor is folded into offsets and weights so the result is always
-    expressed against the global spacing.
+    expressed against the global spacing.  The word's differentiation order
+    and anchor stay on the word (``expr.diff_order``, ``expr.base_shift``).
     """
     nodes: dict[Fraction, Fraction] = {Fraction(0): Fraction(1)}
     for name, factor in _ELEMENTARY:
@@ -207,7 +181,7 @@ def expand(expr: OperatorExpr) -> RawStencil:
     if spacing != 1:
         rescale = Fraction(1) / spacing**order
         nodes = {o * spacing: w * rescale for o, w in nodes.items()}
-    return RawStencil(scale_order=order, base_shift=expr.base_shift, nodes=nodes)
+    return nodes
 
 
 def normalize_composite(
@@ -277,15 +251,15 @@ def apply(expr: OperatorExpr, u: GridFunction, at: RationalLike, k):
     Exact when samples and ``k`` are rational; nodes are visited in ascending
     offset order so float evaluations are reproducible too.
     """
-    st = expand(expr)
     base = Fraction(at) + expr.base_shift
     total = None
-    for offset, weight in st.sorted_nodes():
+    for offset, weight in sorted(expand(expr).items()):
         term = weight * u.value(base + offset)
         total = term if total is None else total + term
     if total is None:
         total = Fraction(0)
-    return total / k**st.scale_order if st.scale_order else total
+    order = expr.diff_order
+    return total / k**order if order else total
 
 
 def product_rule_check(
@@ -313,7 +287,7 @@ def product_rule_check(
         raise ValueError("product_rule_check: m must be positive")
     base = Fraction(n)
     composite = word(fwd=m, bwd=m)
-    span = expand(composite).nodes
+    span = expand(composite)
     product = GridFunction(
         {base + o: f.value(base + o) * g.value(base + o) for o in span}
     )

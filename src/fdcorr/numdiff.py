@@ -1,14 +1,13 @@
-"""Floating-point stencil evaluation and convergence studies.
+"""Stencil evaluation on functions and convergence studies.
 
-Evaluation deliberately mirrors how these formulas are used in practice:
-weights are converted to float once, nodes are summed in ascending-offset
-order (identical inputs give bit-identical outputs), and no compensated
-summation is applied, so the roundoff plateau that every difference quotient
-hits at small spacing is visible rather than masked.
-
-An exact-arithmetic twin (:func:`apply_stencil_exact`) evaluates the same sum
-over rationals, which is how polynomial exactness is asserted without any
-float tolerance.
+One evaluator, :func:`apply_stencil`, takes its arithmetic from its inputs.
+With a float point or spacing it mirrors how these formulas are used in
+practice: weights are converted to float once, nodes are summed in
+ascending-offset order (identical inputs give bit-identical outputs), and no
+compensated summation is applied, so the roundoff plateau that every
+difference quotient hits at small spacing is visible rather than masked.
+With an int or rational point and spacing the same sum is exact, which is
+how polynomial exactness is asserted without any float tolerance.
 """
 
 from __future__ import annotations
@@ -19,27 +18,36 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .exactmath import Rational, RationalLike
-from .gridops import GridFunction
+from .exactmath import Rational
 from .stencil import Stencil
 
 __all__ = [
     "ConvergenceReport",
     "apply_stencil",
-    "apply_stencil_exact",
-    "apply_to_samples",
     "convergence_study",
 ]
 
 
-def apply_stencil(s: Stencil, f: Callable[[float], float], x0: float, h: float) -> float:
-    """Evaluate ``h**-m * sum_j w_j f(x0 + o_j h)`` in floats.
+def apply_stencil(s: Stencil, f: Callable, x0: float | Rational, h: float | Rational):
+    """Evaluate ``h**-m * sum_j w_j f(x0 + o_j h)``.
 
-    Nonfinite samples propagate into the result; a warning names the node so
-    the source is diagnosable.
+    If ``x0`` or ``h`` is a float, offsets and weights are converted to
+    float and the result is a float; nonfinite samples propagate into it,
+    and a warning names the node so the source is diagnosable.  If both are
+    ints or rationals, every step is exact and so is the result for an
+    exact ``f``.
     """
     if h <= 0:
         raise ValueError("spacing h must be positive")
+    if not (isinstance(x0, float) or isinstance(h, float)):
+        x = Fraction(x0)
+        step = Fraction(h)
+        total = Fraction(0)
+        for offset, weight in zip(s.offsets, s.weights):
+            total += weight * f(x + offset * step)
+        return total / step**s.m
+    x0 = float(x0)
+    h = float(h)
     total = 0.0
     for offset, weight in zip(s.offsets, s.weights):
         value = f(x0 + float(offset) * h)
@@ -52,35 +60,6 @@ def apply_stencil(s: Stencil, f: Callable[[float], float], x0: float, h: float) 
             )
         total += float(weight) * value
     return total / h**s.m
-
-
-def apply_stencil_exact(s: Stencil, f: Callable[[Rational], Rational], x0: RationalLike, h: RationalLike):
-    """Rational twin of :func:`apply_stencil`; exact for exact ``f``."""
-    x = Fraction(x0)
-    step = Fraction(h)
-    if step <= 0:
-        raise ValueError("spacing h must be positive")
-    total = Fraction(0)
-    for offset, weight in zip(s.offsets, s.weights):
-        total += weight * f(x + offset * step)
-    return total / step**s.m
-
-
-def apply_to_samples(s: Stencil, samples: GridFunction, center_index: RationalLike, h):
-    """Evaluate a stencil on stored samples around ``center_index``.
-
-    Sample indices are in units of ``h``; a missing one raises an error
-    naming it.  Arithmetic follows the sample/``h`` types, so rational inputs
-    stay exact and float inputs match :func:`apply_stencil` on a lookup.
-    """
-    center = Fraction(center_index)
-    total = None
-    for offset, weight in zip(s.offsets, s.weights):
-        term = weight * samples.value(center + offset)
-        total = term if total is None else total + term
-    if total is None:
-        total = Fraction(0)
-    return total / h**s.m if s.m else total
 
 
 @dataclass(frozen=True)

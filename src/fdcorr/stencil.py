@@ -105,9 +105,9 @@ def flatten(formula: CorrectionFormula) -> Stencil:
             "formula terms are anchored at different evaluation points: "
             + ", ".join(sorted(format_rational(a) for a in anchors))
         )
-    merged: dict[Rational, Rational] = dict(expand(formula.base_expr).nodes)
+    merged: dict[Rational, Rational] = dict(expand(formula.base_expr))
     for coeff, expr in formula.terms:
-        for offset, weight in expand(expr).nodes.items():
+        for offset, weight in expand(expr).items():
             merged[offset] = merged.get(offset, Fraction(0)) - coeff * weight
     merged = {o: w for o, w in merged.items() if w}
     offsets = tuple(sorted(merged))

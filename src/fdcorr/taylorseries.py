@@ -101,5 +101,4 @@ def series_from_nodes(
 
 def error_series(expr: OperatorExpr, truncation: int) -> ErrorSeries:
     """Exact error expansion of a difference word up to ``truncation``."""
-    st = expand(expr)
-    return series_from_nodes(st.nodes, st.scale_order, truncation)
+    return series_from_nodes(expand(expr), expr.diff_order, truncation)

@@ -1,9 +1,14 @@
 """Command-line surface: parsing, tables, stencil export, studies."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fdcorr
 from fdcorr.cli import FormulaIdError, formula_from_id, main, parse_formula_id
 from fdcorr.defcor import FAMILIES, catalog
 
@@ -236,6 +241,19 @@ class TestStudy:
                          str(tmp_path), "--h-max", "1e300", "--h-min", "1e-300")
         assert code == 0
         assert len((tmp_path / "C4.csv").read_text().splitlines()) == 1 + 1994
+
+    def test_overflowing_polynomial_exits_2_without_traceback(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(fdcorr.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fdcorr.cli", "study", "C4", "poly:x^2", "0",
+             "--csv-dir", str(tmp_path), "--h-max", "1e300", "--h-min", "1e-300"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            "fdcorr: error: function 'poly:x^2' overflows at x = -1.5e+300"
+        ]
 
 
 class TestVerifyAll:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fdcorr import binom, format_rational, moment_sum, parse_rational, rational
+from fdcorr import binom, format_rational, moment_sum
 
 SHIFTS = [
     Fraction(-2),
@@ -120,12 +120,8 @@ class TestRationalInvariants:
 
     @given(st.fractions(max_denominator=10**6))
     def test_format_parse_round_trip(self, q):
-        assert parse_rational(format_rational(q)) == q
+        assert Fraction(format_rational(q)) == q
 
     def test_integer_formatting_omits_denominator(self):
         assert format_rational(Fraction(7)) == "7"
         assert format_rational(Fraction(-9, 8)) == "-9/8"
-
-    def test_rational_constructor(self):
-        assert rational("-3/640") == Fraction(-3, 640)
-        assert rational(3, 4) == Fraction(3, 4)

@@ -70,14 +70,10 @@ def words_to_order_six(draw):
 
 class TestExpand:
     def test_second_difference(self):
-        st_ = expand(word(fwd=1, bwd=1))
-        assert st_.scale_order == 2
-        assert st_.nodes == {Fraction(1): 1, Fraction(0): -2, Fraction(-1): 1}
+        assert expand(word(fwd=1, bwd=1)) == {Fraction(1): 1, Fraction(0): -2, Fraction(-1): 1}
 
     def test_third_difference_one_sided(self):
-        st_ = expand(word(fwd=1, bwd=2))
-        assert st_.scale_order == 3
-        assert st_.nodes == {
+        assert expand(word(fwd=1, bwd=2)) == {
             Fraction(1): 1,
             Fraction(0): -3,
             Fraction(-1): 3,
@@ -85,9 +81,7 @@ class TestExpand:
         }
 
     def test_third_difference_half_point(self):
-        st_ = expand(word(cent=1, fwd=1, bwd=1))
-        assert st_.scale_order == 3
-        assert st_.nodes == {
+        assert expand(word(cent=1, fwd=1, bwd=1)) == {
             Fraction(3, 2): 1,
             Fraction(1, 2): -3,
             Fraction(-1, 2): 3,
@@ -95,39 +89,30 @@ class TestExpand:
         }
 
     def test_average_alone(self):
-        st_ = expand(word(avg=1))
-        assert st_.scale_order == 0
-        assert st_.nodes == {Fraction(1, 2): HALF, Fraction(-1, 2): HALF}
+        assert expand(word(avg=1)) == {Fraction(1, 2): HALF, Fraction(-1, 2): HALF}
 
     @pytest.mark.parametrize("m1", range(4))
     @pytest.mark.parametrize("m2", range(4))
     def test_pure_composites_have_binomial_weights(self, m1, m2):
         if m1 + m2 == 0:
             return
-        st_ = expand(word(fwd=m1, bwd=m2))
+        nodes = expand(word(fwd=m1, bwd=m2))
         total = m1 + m2
         for j in range(total + 1):
             offset = Fraction(m1 - j)
             expected = (-1) ** j * binom(total, j)
-            assert st_.nodes[offset] == expected
+            assert nodes[offset] == expected
 
     def test_weight_sums(self):
-        assert sum(expand(word(fwd=2, bwd=1)).nodes.values()) == 0
-        assert sum(expand(word(cent=1)).nodes.values()) == 0
-        assert sum(expand(word(avg=1)).nodes.values()) == 1
+        assert sum(expand(word(fwd=2, bwd=1)).values()) == 0
+        assert sum(expand(word(cent=1)).values()) == 0
+        assert sum(expand(word(avg=1)).values()) == 1
 
     def test_spacing_factor_folds_into_global_units(self):
-        st_ = expand(word(cent=1, spacing=3))
-        assert st_.nodes == {
+        assert expand(word(cent=1, spacing=3)) == {
             Fraction(3, 2): Fraction(1, 3),
             Fraction(-3, 2): Fraction(-1, 3),
         }
-
-    def test_json_shape(self):
-        d = expand(word(fwd=1, bwd=1, shift=HALF)).to_json_dict()
-        assert d["scale_order"] == 2
-        assert d["base_shift"] == "1/2"
-        assert d["nodes"][0] == {"offset": "-1", "weight": "1"}
 
 
 class TestNormalizeComposite:
@@ -148,7 +133,7 @@ class TestNormalizeComposite:
         assert delta == 1
         raw, ren = expand(original), expand(normalized)
         # same nodes once the anchor shift is accounted for
-        assert raw.nodes == {o + delta: w for o, w in ren.nodes.items()}
+        assert raw == {o + delta: w for o, w in ren.items()}
 
     def test_odd_word_not_normalizable(self):
         assert normalize_composite(word(fwd=2, bwd=1)) is None

@@ -1,17 +1,14 @@
 """Float evaluation, exact evaluation, and convergence-study mechanics."""
 
 import math
-import random
+import warnings
 from fractions import Fraction
 
 import pytest
 
 from fdcorr import (
-    GridFunction,
     Stencil,
     apply_stencil,
-    apply_stencil_exact,
-    apply_to_samples,
     centered_formula,
     convergence_study,
     flatten,
@@ -63,7 +60,7 @@ class TestApplyStencilExact:
     def test_lead_monomial_gives_factorial_scaled_derivative(self):
         # fourth derivative of t**4 is 24 everywhere
         st = flatten(general_defcor(4, 2, []))
-        assert apply_stencil_exact(st, lambda t: t**4, 0, 1) == 24
+        assert apply_stencil(st, lambda t: t**4, 0, 1) == 24
 
     @pytest.mark.parametrize(
         "st", [C4, SECOND, flatten(standard_forward(4))], ids=lambda s: s.provenance
@@ -82,7 +79,7 @@ class TestApplyStencilExact:
                 if r >= st.m
                 else Fraction(0)
             )
-            assert apply_stencil_exact(st, monomial, x0, h) == exact
+            assert apply_stencil(st, monomial, x0, h) == exact
 
     def test_float_mode_matches_exact_scale(self):
         # float error stays far below the computation's own magnitude
@@ -103,34 +100,40 @@ class TestApplyStencilExact:
                     ) / h**st.m
                     assert abs(got - exact) <= 1e-12 * max(scale, abs(exact))
 
+    @pytest.mark.parametrize(
+        "x0, h", [(0, 1), (Fraction(1, 3), Fraction(1, 100)), (2, Fraction(1, 7))]
+    )
+    def test_int_or_rational_inputs_give_a_fraction(self, x0, h):
+        value = apply_stencil(C4, lambda t: t**3, x0, h)
+        assert type(value) is Fraction
+        assert value == 3 * Fraction(x0) ** 2
 
-class TestApplyToSamples:
-    def test_linear_samples(self):
-        samples = GridFunction({i: Fraction(i) for i in range(-3, 4)})
-        assert apply_to_samples(CENTRAL, samples, 0, Fraction(1)) == 1
+    def test_exact_samples_beyond_float_range_do_not_warn(self):
+        big = Fraction(10**400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = apply_stencil(C4, lambda t: big + t, 0, 1)
+        assert value == 1
 
-    def test_quartic_samples(self):
-        st = flatten(general_defcor(4, 2, []))
-        samples = GridFunction({i: Fraction(i) ** 4 for i in range(-4, 5)})
-        assert apply_to_samples(st, samples, 0, Fraction(1)) == 24
+    def test_float_inputs_match_the_ascending_float_sum(self):
+        st = flatten(standard_backward(6))
+        f = lambda x: math.sin(100 * math.pi * x)
+        x0, h = 0.1234, 3e-4
+        total = 0.0
+        for o, w in st.nodes():
+            total += float(w) * f(x0 + float(o) * h)
+        assert apply_stencil(st, f, x0, h) == total / h**st.m
 
-    def test_matches_lookup_backed_callable(self):
-        rng = random.Random(5)
-        table = {Fraction(i, 2): rng.uniform(-1, 1) for i in range(-12, 13)}
-        samples = GridFunction(table)
-        h = 0.25
+    def test_float_point_with_rational_spacing_takes_the_float_path(self):
+        seen = []
 
-        def lookup(x):
-            return table[Fraction(x / h).limit_denominator(64)]
+        def f(x):
+            seen.append(type(x))
+            return math.exp(x)
 
-        direct = apply_to_samples(C4, samples, 0, h)
-        via_callable = apply_stencil(C4, lookup, 0.0, h)
-        assert direct == pytest.approx(via_callable, abs=0.0, rel=1e-15)
-
-    def test_missing_index_is_named(self):
-        samples = GridFunction({0: 1, 1: 1})
-        with pytest.raises(LookupError, match="3/2"):
-            apply_to_samples(C4, samples, 0, 1.0)
+        value = apply_stencil(C4, f, 0.25, Fraction(1, 8))
+        assert type(value) is float and set(seen) == {float}
+        assert value == apply_stencil(C4, math.exp, 0.25, 0.125)
 
 
 class TestConvergenceStudy:
