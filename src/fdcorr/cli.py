@@ -32,6 +32,8 @@ __all__ = ["main", "console_main", "parse_formula_id", "formula_from_id"]
 
 # Longest spacing grid ``study`` accepts.
 _MAX_SPACINGS = 100_000
+# Highest accuracy order any command builds (order 200 takes seconds).
+MAX_ORDER = 200
 
 
 class FormulaIdError(ValueError):
@@ -43,9 +45,15 @@ def _family_named(name: str) -> Family | None:
     return next((f for f in FAMILIES if key == f.name or key in f.aliases), None)
 
 
+def _check_order(order: int, context: str) -> None:
+    if order > MAX_ORDER:
+        raise FormulaIdError(f"{context}: order {order} is above the cap {MAX_ORDER}")
+
+
 def _check_param(family: Family, p: int, context: str) -> None:
     if p < family.min_p:
         raise FormulaIdError(f"{context}: {family.name} needs p >= {family.min_p}")
+    _check_order(family.order(p), context)
 
 
 def parse_formula_id(formula_id: str) -> tuple[str, int]:
@@ -72,6 +80,7 @@ def parse_formula_id(formula_id: str) -> tuple[str, int]:
             raise FormulaIdError(
                 f"{formula_id!r}: {family.name} formulas exist at {orders} >= {lowest}"
             )
+        _check_order(family.order(p), repr(formula_id))
         return family.name, p
     raise FormulaIdError(f"cannot parse formula id {formula_id!r}")
 
@@ -306,6 +315,7 @@ def cmd_study(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_all(args: argparse.Namespace) -> int:
+    _check_order(args.max_order, "--max-order")
     checked = failures = 0
     for formula in catalog(args.max_order):
         st = flatten(formula)

@@ -150,8 +150,7 @@ def general_defcor(
 
     truncation = default_truncation(m, order)
     residual = dict.fromkeys(range(m + 1, truncation + 1), Fraction(0))
-    for i, value in error_series(base, truncation).coeffs.items():
-        residual[i] = value
+    residual.update(error_series(base, truncation).coeffs)
 
     applied: list[tuple[Rational, OperatorExpr]] = []
     queue = iter(effective)
@@ -179,10 +178,8 @@ def general_defcor(
         coeff = residual[leading]
         correction = error_series(choice, truncation)
         residual[leading] = Fraction(0)
-        for i in range(leading + 1, truncation + 1):
-            e_i = correction.coefficient(i)
-            if e_i:
-                residual[i] -= coeff * e_i
+        for i, e_i in correction.coeffs.items():
+            residual[i] -= coeff * e_i
         applied.append((coeff, choice))
 
     return CorrectionFormula(

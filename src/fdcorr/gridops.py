@@ -19,7 +19,11 @@ and weights, so words with different steps combine without rescaling:
 
     word(u)(x) = k**-m * sum_j w_j * u(x + o_j * k)
 
-with ``m`` the word's total differentiation order.
+with ``m`` the word's total differentiation order.  With ``E`` the shift by
+one step, each factor is ``E - 1`` or ``(E + 1)/2`` times a power of
+``E**(1/2)``, so :func:`expand` has integer binomial weights on a half-step
+lattice over the one denominator ``2**p_avg`` and folds the spacing in once
+at the end: no rational arithmetic, and the expansion is exact.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .exactmath import Rational, RationalLike, binom, format_rational
+from .exactmath import Rational, RationalLike, format_rational
 
 __all__ = [
     "OperatorExpr",
@@ -96,17 +100,8 @@ class OperatorExpr:
         )
 
     def describe(self) -> str:
-        parts = []
-        for sym, power in (
-            ("fwd", self.p_fwd),
-            ("bwd", self.p_bwd),
-            ("cent", self.p_cent),
-            ("avg", self.p_avg),
-        ):
-            if power == 1:
-                parts.append(sym)
-            elif power > 1:
-                parts.append(f"{sym}^{power}")
+        powers = {"fwd": self.p_fwd, "bwd": self.p_bwd, "cent": self.p_cent, "avg": self.p_avg}
+        parts = [sym if p == 1 else f"{sym}^{p}" for sym, p in powers.items() if p]
         text = "*".join(parts) or "id"
         if self.base_shift:
             text += f" @ {format_rational(self.base_shift)}"
@@ -134,34 +129,7 @@ def word(
     spacing: RationalLike = 1,
 ) -> OperatorExpr:
     """Shorthand constructor for :class:`OperatorExpr`."""
-    return OperatorExpr(
-        p_fwd=fwd,
-        p_bwd=bwd,
-        p_cent=cent,
-        p_avg=avg,
-        base_shift=Fraction(shift),
-        spacing_factor=Fraction(spacing),
-    )
-
-
-# Elementary factors as {local offset: weight}, in units of the word's own step.
-_ELEMENTARY: tuple[tuple[str, tuple[tuple[Fraction, Fraction], ...]], ...] = (
-    ("p_fwd", ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(-1)))),
-    ("p_bwd", ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(-1)))),
-    ("p_cent", ((Fraction(1, 2), Fraction(1)), (Fraction(-1, 2), Fraction(-1)))),
-    ("p_avg", ((Fraction(1, 2), Fraction(1, 2)), (Fraction(-1, 2), Fraction(1, 2)))),
-)
-
-
-def _convolve(
-    nodes: dict[Fraction, Fraction], factor: Iterable[tuple[Fraction, Fraction]]
-) -> dict[Fraction, Fraction]:
-    out: dict[Fraction, Fraction] = {}
-    for o1, w1 in nodes.items():
-        for o2, w2 in factor:
-            key = o1 + o2
-            out[key] = out.get(key, Fraction(0)) + w1 * w2
-    return {o: w for o, w in out.items() if w}
+    return OperatorExpr(fwd, bwd, cent, avg, Fraction(shift), Fraction(spacing))
 
 
 def expand(expr: OperatorExpr) -> dict[Rational, Rational]:
@@ -172,16 +140,19 @@ def expand(expr: OperatorExpr) -> dict[Rational, Rational]:
     expressed against the global spacing.  The word's differentiation order
     and anchor stay on the word (``expr.diff_order``, ``expr.base_shift``).
     """
-    nodes: dict[Fraction, Fraction] = {Fraction(0): Fraction(1)}
-    for name, factor in _ELEMENTARY:
-        for _ in range(getattr(expr, name)):
-            nodes = _convolve(nodes, factor)
-    order = expr.diff_order
-    spacing = expr.spacing_factor
-    if spacing != 1:
-        rescale = Fraction(1) / spacing**order
-        nodes = {o * spacing: w * rescale for o, w in nodes.items()}
-    return nodes
+    # (E - 1)**n as alternating binomials, then one (E + 1) per average.
+    n = expr.diff_order
+    weights = [(-1) ** (n - j) * math.comb(n, j) for j in range(n + 1)]
+    for _ in range(expr.p_avg):
+        weights = [a + b for a, b in zip(weights + [0], [0] + weights)]
+    low = -(2 * expr.p_bwd + expr.p_cent + expr.p_avg)
+    p, q = expr.spacing_factor.numerator, expr.spacing_factor.denominator
+    scale, den = q**n, 2**expr.p_avg * p**n
+    return {
+        Fraction((low + 2 * j) * p, 2 * q): Fraction(w * scale, den)
+        for j, w in enumerate(weights)
+        if w
+    }
 
 
 def normalize_composite(

@@ -18,10 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Sequence
 
 from .defcor import CorrectionFormula
-from .exactmath import Rational, RationalLike, format_rational
+from .exactmath import Rational, RationalLike, format_rational, lattice, power_sums
 from .gridops import expand
 
 __all__ = [
@@ -59,10 +60,7 @@ class Stencil:
         return list(zip(self.offsets, self.weights))
 
     def moment(self, r: int) -> Rational:
-        return sum(
-            (w * o**r for o, w in zip(self.offsets, self.weights)),
-            start=Fraction(0),
-        )
+        return Fraction(*next(islice(power_sums(self.nodes()), r, None)))
 
     def to_json_dict(self) -> dict:
         out = {
@@ -105,17 +103,20 @@ def flatten(formula: CorrectionFormula) -> Stencil:
             "formula terms are anchored at different evaluation points: "
             + ", ".join(sorted(format_rational(a) for a in anchors))
         )
-    merged: dict[Rational, Rational] = dict(expand(formula.base_expr))
-    for coeff, expr in formula.terms:
-        for offset, weight in expand(expr).items():
-            merged[offset] = merged.get(offset, Fraction(0)) - coeff * weight
-    merged = {o: w for o, w in merged.items() if w}
-    offsets = tuple(sorted(merged))
+    # Offsets and coefficient-times-weight products each go onto one lattice.
+    words = [(1, expand(formula.base_expr))]
+    words += [(-coeff, expand(expr)) for coeff, expr in formula.terms]
+    points, scale = lattice(o for _, nodes in words for o in nodes)
+    weights, den = lattice(c * w for c, nodes in words for w in nodes.values())
+    merged: dict[int, int] = {}
+    for a, w in zip(points, weights):
+        merged[a] = merged.get(a, 0) + w
+    offsets = sorted(a for a, w in merged.items() if w)
     stencil = Stencil(
         m=formula.m,
         order=formula.order,
-        offsets=offsets,
-        weights=tuple(merged[o] for o in offsets),
+        offsets=tuple(Fraction(a, scale) for a in offsets),
+        weights=tuple(Fraction(merged[a], den) for a in offsets),
         error_constant=formula.error_constant,
         provenance=formula.label or formula.family,
     )
@@ -202,17 +203,15 @@ def verify(stencil: Stencil) -> StencilCheck:
     Failures are reported, not raised, so callers can decide what a broken
     stencil means for them.
     """
-    first_failed = None
-    failed_value = None
-    for r in range(stencil.m + stencil.order):
-        expected = Fraction(math.factorial(stencil.m)) if r == stencil.m else Fraction(0)
-        actual = stencil.moment(r)
-        if actual != expected:
-            first_failed = r
-            failed_value = actual
-            break
-    top = stencil.m + stencil.order
-    recomputed = stencil.moment(top) / math.factorial(top)
+    m, top = stencil.m, stencil.m + stencil.order
+    first_failed = failed_value = None
+    factorial = 1
+    for r, (total, den) in zip(range(top + 1), power_sums(stencil.nodes())):
+        factorial *= r or 1
+        if r == top:
+            recomputed = Fraction(total, den * factorial)
+        elif first_failed is None and total != (factorial * den if r == m else 0):
+            first_failed, failed_value = r, Fraction(total, den)
     matches = recomputed == stencil.error_constant
     return StencilCheck(
         ok=first_failed is None and matches,

@@ -8,16 +8,20 @@ For a word with flat nodes ``{o_j: w_j}`` and differentiation order ``m``,
 with ``e_i = (1/i!) * sum_j w_j o_j**i`` exactly.  All coefficients are
 produced by this one node-sum path regardless of family; the per-family
 closed forms live in the test suite as assertions against it.
+
+The sums run on integer lattices: with ``o_j = a_j / L`` and ``w_j = b_j / D``
+(``L``, ``D`` the least common denominators), ``e_i`` is the integer power
+sum ``sum_j b_j a_j**i`` divided once by ``D * L**i * i!``.  Integer sums are
+exact, so ``e_i`` is the same ``Fraction`` a rational loop would give.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .exactmath import Rational, format_rational
+from .exactmath import Rational, format_rational, power_sums
 from .gridops import OperatorExpr, expand
 
 __all__ = [
@@ -75,27 +79,22 @@ def series_from_nodes(
         raise ValueError(
             f"truncation must exceed the lead order {lead}, got {truncation}"
         )
-    items = sorted(nodes.items())
-    powers = {o: Fraction(1) for o, _ in items}
     coeffs: dict[int, Rational] = {}
-    for i in range(truncation + 1):
-        total = Fraction(0)
-        for offset, weight in items:
-            total += weight * powers[offset]
-            powers[offset] *= offset
+    factorial = 1
+    for i, (total, den) in zip(range(truncation + 1), power_sums(nodes.items())):
+        factorial *= i or 1
         if i < lead:
             if total:
-                raise ValueError(
-                    f"nodes do not annihilate degree {i}: moment sum {total}"
-                )
+                moment = Fraction(total, den)
+                raise ValueError(f"nodes do not annihilate degree {i}: moment sum {moment}")
         elif i == lead:
-            if total != math.factorial(lead):
+            if total != factorial * den:
                 raise ValueError(
-                    f"lead moment is {total}, expected {lead}! for a normalized "
-                    "derivative approximation"
+                    f"lead moment is {Fraction(total, den)}, expected {lead}! "
+                    "for a normalized derivative approximation"
                 )
         elif total:
-            coeffs[i] = total / math.factorial(i)
+            coeffs[i] = Fraction(total, den * factorial)
     return ErrorSeries(lead=lead, coeffs=coeffs, truncation=truncation)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import fdcorr
-from fdcorr.cli import FormulaIdError, formula_from_id, main, parse_formula_id
+from fdcorr.cli import MAX_ORDER, FormulaIdError, formula_from_id, main, parse_formula_id
 from fdcorr.defcor import FAMILIES, catalog
 
 
@@ -17,6 +17,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def exits_2_before_generating(capsys, monkeypatch, *argv):
+    """Run ``argv`` with generation disabled; return its stderr."""
+
+    def no_generation(*args, **kwargs):
+        raise AssertionError("a formula was generated")
+
+    monkeypatch.setattr(fdcorr.defcor, "general_defcor", no_generation)
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    assert excinfo.value.code == 2
+    return capsys.readouterr().err
 
 
 class TestFormulaIds:
@@ -45,6 +58,16 @@ class TestFormulaIds:
     def test_invalid_ids(self, bad):
         with pytest.raises(FormulaIdError):
             parse_formula_id(bad)
+
+    def test_order_cap_is_inclusive(self):
+        assert MAX_ORDER == 200
+        assert parse_formula_id("F200") == ("standard-forward", 200)
+        assert parse_formula_id("centered:p=99") == ("centered", 99)
+
+    @pytest.mark.parametrize("formula_id", ["C202", "F201", "centered:p=100", "ic:p=100"])
+    def test_order_above_cap_exits_2(self, capsys, monkeypatch, formula_id):
+        err = exits_2_before_generating(capsys, monkeypatch, "stencil", formula_id)
+        assert f"above the cap {MAX_ORDER}" in err
 
 
 class TestFamilies:
@@ -109,6 +132,11 @@ class TestCoeffs:
             main(["coeffs", family, p])
         assert excinfo.value.code == 2
         assert "needs p >=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family, p", [("centered", "100000"), ("f", "201")])
+    def test_order_above_cap_exits_2(self, capsys, monkeypatch, family, p):
+        err = exits_2_before_generating(capsys, monkeypatch, "coeffs", family, p)
+        assert f"above the cap {MAX_ORDER}" in err
 
 
 class TestStencil:
@@ -276,6 +304,12 @@ class TestVerifyAll:
             main(["verify-all", "--max-order", "1"])
         assert excinfo.value.code == 2
         assert capsys.readouterr().out == ""
+
+    def test_max_order_above_cap_exits_2(self, capsys, monkeypatch):
+        err = exits_2_before_generating(
+            capsys, monkeypatch, "verify-all", "--max-order", str(MAX_ORDER + 1)
+        )
+        assert f"above the cap {MAX_ORDER}" in err
 
 
 class TestFlags:

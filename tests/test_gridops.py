@@ -1,5 +1,6 @@
 """Operator words: expansion, application, re-anchoring, and product rules."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -53,6 +54,29 @@ def nested_apply(expr, samples, at, k):
     return table[Fraction(at) + expr.base_shift]
 
 
+# Elementary factors as (local offset, weight) pairs in units of the word's step.
+ELEMENTARY = {
+    "p_fwd": ((1, 1), (0, -1)),
+    "p_bwd": ((0, 1), (-1, -1)),
+    "p_cent": ((HALF, 1), (-HALF, -1)),
+    "p_avg": ((HALF, HALF), (-HALF, HALF)),
+}
+
+
+def convolved_expansion(expr):
+    """Independent oracle: multiply the elementary factors out one at a time."""
+    nodes = {Fraction(0): Fraction(1)}
+    for name, factor in ELEMENTARY.items():
+        for _ in range(getattr(expr, name)):
+            out = {}
+            for o1, w1 in nodes.items():
+                for o2, w2 in factor:
+                    out[o1 + o2] = out.get(o1 + o2, 0) + w1 * w2
+            nodes = out
+    s = expr.spacing_factor
+    return {o * s: w / s**expr.diff_order for o, w in nodes.items() if w}
+
+
 small_fraction = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
 
@@ -69,6 +93,15 @@ def words_to_order_six(draw):
 
 
 class TestExpand:
+    @pytest.mark.parametrize("spacing", [1, 3, Fraction(2, 5)], ids=str)
+    def test_closed_form_matches_repeated_convolution(self, spacing):
+        for powers in itertools.product(range(4), repeat=4):
+            expr = word(*powers, spacing=spacing)
+            nodes = expand(expr)
+            assert nodes == convolved_expansion(expr), expr.describe()
+            # apply_stencil picks exact or float arithmetic from these types
+            assert all(type(o) is Fraction and type(w) is Fraction for o, w in nodes.items())
+
     def test_second_difference(self):
         assert expand(word(fwd=1, bwd=1)) == {Fraction(1): 1, Fraction(0): -2, Fraction(-1): 1}
 

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdcorr import (
     GridFunction,
@@ -11,6 +13,7 @@ from fdcorr import (
     binom,
     error_series,
     expand,
+    oracle_weights,
     series_from_nodes,
     word,
 )
@@ -168,6 +171,89 @@ class TestSpacingScaling:
         wide = error_series(word(cent=1, spacing=3), 7)
         for i in range(2, 8):
             assert wide.coefficient(i) == Fraction(3) ** (i - 1) * base.coefficient(i)
+
+
+def rational_moment_series(nodes, lead, truncation):
+    """Reference: the plain ``Fraction`` moment loop, one node power at a time."""
+    coeffs = {}
+    for i in range(truncation + 1):
+        total = sum((w * o**i for o, w in nodes.items()), start=Fraction(0))
+        if i < lead:
+            if total:
+                raise ValueError(f"nodes do not annihilate degree {i}: moment sum {total}")
+        elif i == lead:
+            if total != math.factorial(lead):
+                raise ValueError(
+                    f"lead moment is {total}, expected {lead}! for a normalized "
+                    "derivative approximation"
+                )
+        elif total:
+            coeffs[i] = total / math.factorial(i)
+    return coeffs
+
+
+# Offsets on thirds, fifths, sevenths and fifteenths as well as half-steps;
+# weights with denominators up to 10**15.
+rational_offsets = st.builds(
+    Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 5, 7, 15])
+)
+large_weights = st.builds(
+    Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**15)
+)
+
+
+@st.composite
+def normalized_nodes(draw):
+    """Random nodes for derivative ``lead``: moments below it vanish, its own is lead!.
+
+    The weights of the first ``lead + 1`` nodes are solved for (from the
+    moment-system oracle's unit solutions); the others are drawn freely.
+    """
+    lead = draw(st.integers(0, 3))
+    offsets = draw(st.lists(rational_offsets, min_size=lead + 1, max_size=lead + 6, unique=True))
+    head, tail = offsets[: lead + 1], offsets[lead + 1 :]
+    free = draw(st.lists(large_weights, min_size=len(tail), max_size=len(tail)))
+    nodes = dict(zip(tail, free))
+    for r in range(lead + 1):
+        target = math.factorial(lead) if r == lead else 0
+        residual = target - sum((w * o**r for o, w in nodes.items()), start=Fraction(0))
+        unit = oracle_weights(head, r)
+        for o, w in zip(head, unit):
+            nodes[o] = nodes.get(o, 0) + residual * w / math.factorial(r)
+    return nodes, lead
+
+
+class TestIntegerMomentKernel:
+    @given(normalized_nodes(), st.integers(1, 8))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_rational_moment_loop(self, case, depth):
+        nodes, lead = case
+        truncation = lead + depth
+        got = series_from_nodes(nodes, lead, truncation)
+        assert got.coeffs == rational_moment_series(nodes, lead, truncation)
+        assert all(type(c) is Fraction for c in got.coeffs.values())
+
+    @given(normalized_nodes(), large_weights.filter(bool))
+    @settings(max_examples=40, deadline=None)
+    def test_broken_nodes_raise_the_reference_message(self, case, bump):
+        nodes, lead = case
+        offset = next(iter(nodes))
+        nodes[offset] += bump
+        with pytest.raises(ValueError) as expected:
+            rational_moment_series(nodes, lead, lead + 2)
+        with pytest.raises(ValueError) as got:
+            series_from_nodes(nodes, lead, lead + 2)
+        assert str(got.value) == str(expected.value)
+
+    def test_error_messages_keep_their_wording(self):
+        with pytest.raises(ValueError) as excinfo:
+            series_from_nodes({Fraction(1, 3): Fraction(1, 7)}, 1, 4)
+        assert str(excinfo.value) == "nodes do not annihilate degree 0: moment sum 1/7"
+        with pytest.raises(ValueError) as excinfo:
+            series_from_nodes({Fraction(1, 3): Fraction(3, 2), Fraction(0): Fraction(-3, 2)}, 1, 4)
+        assert str(excinfo.value) == (
+            "lead moment is 1/2, expected 1! for a normalized derivative approximation"
+        )
 
 
 class TestValidation:
