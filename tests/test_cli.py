@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -298,6 +299,15 @@ class TestVerifyAll:
         assert lines[-1] == "checked 28 formulas, 0 failed"
         assert len(lines) == 29
         assert all(line.startswith("PASS ") for line in lines[:-1])
+
+    def test_order_thirty_within_budget(self, capsys):
+        # The target is 5 s; the budget doubles it for hosts whose CPUs slow down.
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "verify-all", "--max-order", "30")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert out.splitlines()[-1] == "checked 172 formulas, 0 failed"
+        assert elapsed < 10, f"verify-all --max-order 30 took {elapsed:.2f}s"
 
     def test_checking_nothing_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,9 +1,12 @@
 """Flat stencils against the moment-system oracle and verification reports."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdcorr import (
     FlattenError,
@@ -99,10 +102,44 @@ class TestOracle:
             oracle_weights([0, 1, 1], 1)
 
     def test_too_few_nodes_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need more than 2 nodes for derivative order 2"):
             oracle_weights([0, 1], 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="3 nodes cannot support derivative 1 at order 4"):
             oracle_weights([0, 1, 2], 1, q=4)
+
+    def test_unsorted_offsets_keep_input_order(self):
+        assert oracle_weights([1, -1, 0], 1) == [frac(1, 2), frac(-1, 2), frac(0)]
+
+    @given(
+        st.lists(
+            st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 5, 7])),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_lagrange_basis_weights(self, offsets):
+        for m in range(len(offsets)):
+            weights = oracle_weights(offsets, m)
+            assert weights == lagrange_weights(offsets, m)
+            for r in range(len(offsets)):
+                residual = sum(w * o**r for w, o in zip(weights, offsets))
+                assert residual == (math.factorial(m) if r == m else 0)
+
+
+def lagrange_weights(offsets, m):
+    """Reference: ``m! [t^m] l_j(t)`` for each Lagrange basis polynomial."""
+    weights = []
+    for j, oj in enumerate(offsets):
+        poly = [Fraction(1)]  # coefficients of l_j, lowest power first
+        for k, ok in enumerate(offsets):
+            if k != j:
+                scale = oj - ok
+                shifted = [Fraction(0)] + poly
+                poly = [(a - ok * b) / scale for a, b in zip(shifted, poly + [0])]
+        weights.append(math.factorial(m) * poly[m])
+    return weights
 
 
 class TestVerify:
@@ -175,7 +212,6 @@ def test_value_stencils_are_symmetric(p):
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_flattened_error_constant_continues_coefficient_sequence(p):
-    import math
 
     reference = {
         5: frac(-18, math.factorial(5) * 2**5),
