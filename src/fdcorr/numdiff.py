@@ -2,12 +2,15 @@
 
 One evaluator, :func:`apply_stencil`, takes its arithmetic from its inputs.
 With a float point or spacing it mirrors how these formulas are used in
-practice: weights are converted to float once, nodes are summed in
-ascending-offset order (identical inputs give bit-identical outputs), and no
-compensated summation is applied, so the roundoff plateau that every
-difference quotient hits at small spacing is visible rather than masked.
-With an int or rational point and spacing the same sum is exact, which is
-how polynomial exactness is asserted without any float tolerance.
+practice: each stencil converts its offsets and weights to float once, on
+its first float evaluation (:attr:`fdcorr.stencil.Stencil.float_nodes`),
+and every later one, such as each spacing of a convergence study, reuses
+them; nodes are summed in ascending-offset order (identical inputs give
+bit-identical outputs), and no compensated summation is applied, so the
+roundoff plateau that every difference quotient hits at small spacing is
+visible rather than masked.  With an int or rational point and spacing the
+same sum is exact, which is how polynomial exactness is asserted without
+any float tolerance.
 """
 
 from __future__ import annotations
@@ -31,11 +34,12 @@ __all__ = [
 def apply_stencil(s: Stencil, f: Callable, x0: float | Rational, h: float | Rational):
     """Evaluate ``h**-m * sum_j w_j f(x0 + o_j h)``.
 
-    If ``x0`` or ``h`` is a float, offsets and weights are converted to
-    float and the result is a float; nonfinite samples propagate into it,
-    and a warning names the node so the source is diagnosable.  If both are
-    ints or rationals, every step is exact and so is the result for an
-    exact ``f``.
+    If ``x0`` or ``h`` is a float, the sum runs over ``s.float_nodes``, the
+    offsets and weights the stencil converted to float on its first float
+    evaluation, and the result is a float; nonfinite samples propagate into
+    it, and a warning names the node's exact offset so the source is
+    diagnosable.  If both are ints or rationals, every step is exact and so
+    is the result for an exact ``f``.
     """
     if h <= 0:
         raise ValueError("spacing h must be positive")
@@ -49,16 +53,16 @@ def apply_stencil(s: Stencil, f: Callable, x0: float | Rational, h: float | Rati
     x0 = float(x0)
     h = float(h)
     total = 0.0
-    for offset, weight in zip(s.offsets, s.weights):
-        value = f(x0 + float(offset) * h)
+    for exact_offset, (offset, weight) in zip(s.offsets, s.float_nodes):
+        value = f(x0 + offset * h)
         if not math.isfinite(value):
             warnings.warn(
-                f"nonfinite sample {value!r} at x = {x0 + float(offset) * h!r} "
-                f"(offset {offset})",
+                f"nonfinite sample {value!r} at x = {x0 + offset * h!r} "
+                f"(offset {exact_offset})",
                 RuntimeWarning,
                 stacklevel=2,
             )
-        total += float(weight) * value
+        total += weight * value
     return total / h**s.m
 
 
@@ -130,8 +134,7 @@ class ConvergenceReport:
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as handle:
-            for row in self.csv_rows():
-                handle.write(",".join(row) + "\n")
+            handle.write("".join(",".join(row) + "\n" for row in self.csv_rows()))
 
 
 def _pairwise_order(e0: float, e1: float, h0: float, h1: float) -> float:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from functools import cached_property
 from typing import Sequence
 
 from .defcor import CorrectionFormula
@@ -62,8 +62,10 @@ class Stencil:
     def nodes(self) -> list[tuple[Rational, Rational]]:
         return list(zip(self.offsets, self.weights))
 
-    def moment(self, r: int) -> Rational:
-        return Fraction(*next(islice(power_sums(self.nodes()), r, None)))
+    @cached_property
+    def float_nodes(self) -> tuple[tuple[float, float], ...]:
+        """Float ``(offset, weight)`` pairs in offset order, made on first use."""
+        return tuple((float(o), float(w)) for o, w in self.nodes())
 
     def to_json_dict(self) -> dict:
         out = {
@@ -78,17 +80,6 @@ class Stencil:
         if self.provenance:
             out["provenance"] = self.provenance
         return out
-
-    def format_table(self) -> str:
-        lines = [
-            f"# {self.provenance or 'stencil'}: derivative {self.m}, "
-            f"order {self.order}, error constant "
-            f"{format_rational(self.error_constant)}",
-            f"{'offset':>12}  {'weight':>20}",
-        ]
-        for o, w in self.nodes():
-            lines.append(f"{format_rational(o):>12}  {format_rational(w):>20}")
-        return "\n".join(lines)
 
 
 def flatten(formula: CorrectionFormula) -> Stencil:

@@ -1,5 +1,6 @@
 """Command-line surface: parsing, tables, stencil export, studies."""
 
+import gc
 import json
 import os
 import subprocess
@@ -336,3 +337,40 @@ class TestFlags:
             main(argv)
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestRepeatedCalls:
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stencil", "C4"],
+            ["coeffs", "interior", "2", "--json"],
+            ["stencil", "C5"],
+            ["verify-all", "--json"],
+        ],
+    )
+    def test_second_call_gives_the_same_output(self, capsys, argv):
+        first = self.outcome(capsys, argv)
+        assert self.outcome(capsys, argv) == first
+
+    def test_second_call_leaves_no_cyclic_garbage(self, capsys, tmp_path):
+        argv = ["study", "C4,B6", "sin100pi", "0.1", "--csv-dir", str(tmp_path)]
+        assert main(argv) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        # a parser holds about 190 objects in cycles; one per call leaves them
+        assert garbage <= 20

@@ -2,9 +2,12 @@
 
 import math
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from fdcorr import (
     Stencil,
@@ -45,9 +48,15 @@ class TestApplyStencil:
             apply_stencil(CENTRAL, math.sin, 0.0, 0.0)
 
     def test_nonfinite_sample_warns_and_propagates(self):
-        with pytest.warns(RuntimeWarning, match="nonfinite"):
-            value = apply_stencil(CENTRAL, lambda x: math.inf if x > 0 else 0.0, 0.0, 0.5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = apply_stencil(C4, lambda x: math.inf if x > 0 else 0.0, 0.0, 0.5)
         assert not math.isfinite(value)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (RuntimeWarning, "nonfinite sample inf at x = 0.25 (offset 1/2)"),
+            (RuntimeWarning, "nonfinite sample inf at x = 0.75 (offset 3/2)"),
+        ]
+        assert {w.filename for w in caught} == {__file__}
 
     def test_determinism(self):
         st = flatten(standard_backward(6))
@@ -124,6 +133,44 @@ class TestApplyStencilExact:
             total += float(w) * f(x0 + float(o) * h)
         assert apply_stencil(st, f, x0, h) == total / h**st.m
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=hs.integers(0, 3),
+        offsets=hs.lists(
+            hs.fractions(min_value=-8, max_value=8, max_denominator=15),
+            min_size=1,
+            max_size=10,
+            unique=True,
+        ),
+        data=hs.data(),
+        x0=hs.floats(-2.0, 2.0),
+        h=hs.floats(1e-6, 1.0),
+    )
+    def test_float_path_matches_the_ascending_float_sum_on_random_stencils(
+        self, m, offsets, data, x0, h
+    ):
+        weights = data.draw(
+            hs.lists(
+                hs.fractions(max_denominator=10**12).filter(lambda w: w != 0),
+                min_size=len(offsets),
+                max_size=len(offsets),
+            )
+        )
+        st = Stencil(
+            m=m,
+            order=1,
+            offsets=tuple(sorted(offsets)),
+            weights=tuple(weights),
+            error_constant=Fraction(0),
+        )
+        total = 0.0
+        for o, w in st.nodes():
+            total += float(w) * math.sin(x0 + float(o) * h)
+        expected = total / h**m
+        # the first call converts the stencil, the second reuses it
+        assert apply_stencil(st, math.sin, x0, h) == expected
+        assert apply_stencil(st, math.sin, x0, h) == expected
+
     def test_float_point_with_rational_spacing_takes_the_float_path(self):
         seen = []
 
@@ -186,6 +233,30 @@ class TestConvergenceStudy:
         assert rows[1][2] == ""
         assert rows[2][2] != ""
         assert len(rows) == 4
+
+    def test_each_node_is_converted_to_float_at_most_once(self):
+        conversions = Counter()
+
+        class CountingFraction(Fraction):
+            def __float__(self):
+                conversions[id(self)] += 1
+                return super().__float__()
+
+        counted = Stencil(
+            m=C4.m,
+            order=C4.order,
+            offsets=tuple(CountingFraction(o) for o in C4.offsets),
+            weights=tuple(CountingFraction(w) for w in C4.weights),
+            error_constant=C4.error_constant,
+            provenance=C4.provenance,
+        )
+        omega = 100 * math.pi
+        f = lambda x: math.sin(omega * x)
+        grid = [1e-3 * 2.0**-j for j in range(12)]
+        report = convergence_study(counted, f, omega, 0.1, grid)
+        assert len(conversions) == 2 * len(C4.offsets)
+        assert max(conversions.values()) == 1
+        assert report == convergence_study(C4, f, omega, 0.1, grid)
 
     def test_fit_window_spans_clean_monotone_grid(self):
         st = flatten(standard_backward(6))

@@ -261,7 +261,3 @@ class TestSerialization:
         assert d["m"] == 1 and d["order"] == 4
         assert d["error_constant"] == "-3/640"
         assert d["nodes"][0] == {"offset": "-3/2", "weight": "1/24"}
-
-    def test_text_table(self):
-        text = flatten(centered_formula(1)).format_table()
-        assert "offset" in text and "9/8" in text and "C4" in text
