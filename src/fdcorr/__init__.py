@@ -33,7 +33,7 @@ from .gridops import (
     product_rule_check,
     word,
 )
-from .numdiff import ConvergenceReport, apply_stencil, convergence_study
+from .numdiff import ConvergenceReport, apply_stencil, convergence_studies, convergence_study
 from .stencil import FlattenError, Stencil, StencilCheck, flatten, oracle_weights, verify
 from .taylorseries import ErrorSeries, default_truncation, error_series, series_from_nodes
 
@@ -57,6 +57,7 @@ __all__ = [
     "binom",
     "centered_average_formula",
     "centered_formula",
+    "convergence_studies",
     "convergence_study",
     "default_truncation",
     "error_series",

@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 
 from .defcor import FAMILIES, CorrectionFormula, Family, catalog, forward_centered
 from .exactmath import Rational, format_rational
-from .numdiff import ConvergenceReport, convergence_study
+from .numdiff import convergence_studies
 from .stencil import flatten, oracle_weights, verify
 
 __all__ = ["main", "console_main", "parse_formula_id", "formula_from_id"]
@@ -280,31 +280,30 @@ def cmd_study(args: argparse.Namespace) -> int:
     u, du = _resolve_function(args.function)
     _require_finite("x0", args.x0)
     grid = _spacing_grid(args.h_max, args.h_min, args.h_factor)
-    csv_dir = Path(args.csv_dir)
-    csv_dir.mkdir(parents=True, exist_ok=True)
     x0 = args.x0
     df_true = du(x0)
+    # Every id builds before any sample is taken or any CSV written.
+    named = [(formula_id, flatten(formula_from_id(formula_id))) for formula_id in ids]
+    csv_dir = Path(args.csv_dir)
+    csv_dir.mkdir(parents=True, exist_ok=True)
 
-    reports: list[tuple[str, ConvergenceReport, Path]] = []
-    for formula_id in ids:
-        st = flatten(formula_from_id(formula_id))
-        report = convergence_study(st, u, df_true, x0, grid, formula_id=formula_id)
-        path = csv_dir / f"{formula_id}.csv"
+    lines: list[str] = []
+    for report in convergence_studies(named, u, df_true, x0, grid):
+        path = csv_dir / f"{report.formula_id}.csv"
         report.write_csv(path)
-        reports.append((formula_id, report, path))
-
-    for formula_id, report, path in reports:
         fitted = report.fitted_order()
         fitted_text = "n/a" if math.isnan(fitted) else f"{fitted:.2f}"
-        print(
-            f"{formula_id}: fitted order {fitted_text}, "
+        lines.append(
+            f"{report.formula_id}: fitted order {fitted_text}, "
             f"min error {report.min_error():.3e}, csv {path}"
         )
+    for line in lines:
+        print(line)
     if args.gnuplot:
         script = csv_dir / "study.gp"
         plots = ", ".join(
-            f"'{path.name}' using 1:2 with linespoints title '{formula_id}'"
-            for formula_id, _, path in reports
+            f"'{formula_id}.csv' using 1:2 with linespoints title '{formula_id}'"
+            for formula_id in ids
         )
         script.write_text(_GNUPLOT_HEADER + f"plot {plots}\n")
         print(f"gnuplot script: {script}")

@@ -79,35 +79,8 @@ class OperatorExpr:
         """Total differentiation order of the word."""
         return self.p_fwd + self.p_bwd + self.p_cent
 
-    def shifted(self, delta: RationalLike) -> "OperatorExpr":
-        return replace(self, base_shift=self.base_shift + Fraction(delta))
-
     def with_spacing(self, spacing: RationalLike) -> "OperatorExpr":
         return replace(self, spacing_factor=Fraction(spacing))
-
-    def __mul__(self, other: "OperatorExpr") -> "OperatorExpr":
-        if not isinstance(other, OperatorExpr):
-            return NotImplemented
-        if self.spacing_factor != other.spacing_factor:
-            raise ValueError("cannot compose words with different spacing factors")
-        return OperatorExpr(
-            p_fwd=self.p_fwd + other.p_fwd,
-            p_bwd=self.p_bwd + other.p_bwd,
-            p_cent=self.p_cent + other.p_cent,
-            p_avg=self.p_avg + other.p_avg,
-            base_shift=self.base_shift + other.base_shift,
-            spacing_factor=self.spacing_factor,
-        )
-
-    def describe(self) -> str:
-        powers = {"fwd": self.p_fwd, "bwd": self.p_bwd, "cent": self.p_cent, "avg": self.p_avg}
-        parts = [sym if p == 1 else f"{sym}^{p}" for sym, p in powers.items() if p]
-        text = "*".join(parts) or "id"
-        if self.base_shift:
-            text += f" @ {format_rational(self.base_shift)}"
-        if self.spacing_factor != 1:
-            text += f" (step x{format_rational(self.spacing_factor)})"
-        return text
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,25 +1,27 @@
 """Stencil evaluation on functions and convergence studies.
 
 One evaluator, :func:`apply_stencil`, takes its arithmetic from its inputs.
-With a float point or spacing it mirrors how these formulas are used in
-practice: each stencil converts its offsets and weights to float once, on
-its first float evaluation (:attr:`fdcorr.stencil.Stencil.float_nodes`),
-and every later one, such as each spacing of a convergence study, reuses
-them; nodes are summed in ascending-offset order (identical inputs give
-bit-identical outputs), and no compensated summation is applied, so the
-roundoff plateau that every difference quotient hits at small spacing is
-visible rather than masked.  With an int or rational point and spacing the
-same sum is exact, which is how polynomial exactness is asserted without
-any float tolerance.
+With an int or rational point and spacing every step is exact, which is how
+polynomial exactness is asserted without any float tolerance.  In floats it
+is a column sum over a batch of stencils: each distinct node offset ``o`` is
+sampled once per spacing, ``f(x0 + o*h)``, and ``w * sample`` is added into
+every stencil of the batch with that node.  :func:`apply_stencil` is a batch
+of one at one spacing; :func:`convergence_studies` shares samples among many
+stencils on one grid.  Either way each total starts at ``0.0`` and adds the
+same products in ascending-offset order, and a sample is the same float
+whichever stencil uses it, so results are bit-identical to summing each
+stencil alone over its ``Stencil.float_nodes``.  Without compensated
+summation the roundoff plateau at small spacing stays visible.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .exactmath import Rational
 from .stencil import Stencil
@@ -27,6 +29,7 @@ from .stencil import Stencil
 __all__ = [
     "ConvergenceReport",
     "apply_stencil",
+    "convergence_studies",
     "convergence_study",
 ]
 
@@ -50,20 +53,38 @@ def apply_stencil(s: Stencil, f: Callable, x0: float | Rational, h: float | Rati
         for offset, weight in zip(s.offsets, s.weights):
             total += weight * f(x + offset * step)
         return total / step**s.m
-    x0 = float(x0)
     h = float(h)
-    total = 0.0
-    for exact_offset, (offset, weight) in zip(s.offsets, s.float_nodes):
-        value = f(x0 + offset * h)
-        if not math.isfinite(value):
-            warnings.warn(
-                f"nonfinite sample {value!r} at x = {x0 + offset * h!r} "
-                f"(offset {exact_offset})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        total += weight * value
-    return total / h**s.m
+    return _column_sums([s], f, float(x0), (h,))[0][0] / h**s.m
+
+
+def _column_sums(stencils, f: Callable, x0: float, spacings) -> list[list[float]]:
+    """``sum_j w_j f(x0 + o_j h)`` of each stencil at each spacing, in floats.
+
+    Call it only directly from a public function: its warnings use
+    ``stacklevel=3`` to name that function's caller.
+    """
+    users: dict[float, list[tuple[int, float, Rational]]] = {}
+    for k, s in enumerate(stencils):
+        for exact, (offset, weight) in zip(s.offsets, s.float_nodes):
+            users.setdefault(offset, []).append((k, weight, exact))
+    totals = [[0.0] * len(spacings) for _ in stencils]
+    for offset in sorted(users):
+        column = [f(x0 + offset * h) for h in spacings]
+        # an inf or nan sample always makes the column's sum nonfinite
+        bad = [] if math.isfinite(sum(column)) else [
+            (x0 + offset * h, v) for h, v in zip(spacings, column) if not math.isfinite(v)]
+        for k, weight, exact in users[offset]:
+            for x, value in bad:
+                warnings.warn(f"nonfinite sample {value!r} at x = {x!r} (offset {exact})",
+                              RuntimeWarning, stacklevel=3)
+            totals[k] = [t + weight * v for t, v in zip(totals[k], column)]
+        del column
+    return totals
+
+
+@functools.lru_cache(maxsize=1)
+def _spacing_texts(spacings: tuple[float, ...]) -> tuple[str, ...]:
+    return tuple(map(repr, spacings))  # once per grid: a study's reports share it
 
 
 @dataclass(frozen=True)
@@ -125,22 +146,59 @@ class ConvergenceReport:
     def min_error(self) -> float:
         return min(self.abs_errors)
 
-    def csv_rows(self) -> list[tuple[str, str, str]]:
-        rows = [("h", "abs_error", "observed_order")]
-        for i, (h, err) in enumerate(zip(self.spacings, self.abs_errors)):
-            order = "" if i == 0 else repr(self.observed_orders[i - 1])
-            rows.append((repr(h), repr(err), order))
-        return rows
-
     def write_csv(self, path) -> None:
+        h_texts, errors = _spacing_texts(self.spacings), self.abs_errors
+        rows = [f"h,abs_error,observed_order\n{h_texts[0]},{errors[0]!r},\n"]
+        rows += [f"{h},{e!r},{o!r}\n"
+                 for h, e, o in zip(h_texts[1:], errors[1:], self.observed_orders)]
         with open(path, "w", newline="") as handle:
-            handle.write("".join(",".join(row) + "\n" for row in self.csv_rows()))
+            handle.write("".join(rows))
 
 
-def _pairwise_order(e0: float, e1: float, h0: float, h1: float) -> float:
-    if e0 <= 0.0 or e1 <= 0.0:
-        return math.inf if e1 == 0.0 and e0 > 0.0 else math.nan
-    return math.log(e0 / e1) / math.log(h0 / h1)
+def convergence_studies(
+    named: Sequence[tuple[str, Stencil]],
+    f: Callable[[float], float],
+    df_true: float,
+    x0: float,
+    h_list: Sequence[float] | Iterable[float],
+) -> Iterator[ConvergenceReport]:
+    """One report per ``(formula_id, stencil)`` pair of ``named``, in order.
+
+    ``h_list`` must be positive and strictly decreasing with at least three
+    entries, so pairwise orders and the floor heuristic are meaningful.  The
+    call samples each distinct node offset of the batch once per spacing;
+    the iterator it returns builds each report only when asked, so a caller
+    that writes and drops each one holds one at a time.  The reports share
+    one ``spacings`` tuple, and a repeated pair gives a repeated report.
+    """
+    spacings = tuple(float(h) for h in h_list)
+    if len(spacings) < 3:
+        raise ValueError("need at least three spacings")
+    if any(b >= a for a, b in zip(spacings, spacings[1:])):
+        raise ValueError("spacings must be strictly decreasing")
+    if any(h <= 0 for h in spacings):
+        raise ValueError("spacing h must be positive")
+    named = list(named)
+    totals = _column_sums([s for _, s in named], f, float(x0), spacings)
+    log_steps = [math.log(a / b) for a, b in zip(spacings, spacings[1:])]
+    return (
+        _report(formula_id, s.m, total, df_true, spacings, log_steps)
+        for (formula_id, s), total in zip(named, totals)
+    )
+
+
+def _report(formula_id, m, total, df_true, spacings, log_steps) -> ConvergenceReport:
+    errors = tuple([abs(t / h**m - df_true) for t, h in zip(total, spacings)])
+    orders = tuple([
+        (math.inf if e1 == 0.0 and e0 > 0.0 else math.nan)
+        if e0 <= 0.0 or e1 <= 0.0
+        else math.log(e0 / e1) / step
+        for e0, e1, step in zip(errors, errors[1:], log_steps)
+    ])
+    floor = next(
+        (i for i in range(1, len(errors)) if errors[i] > 2.0 * errors[i - 1]), len(errors)
+    )
+    return ConvergenceReport(formula_id, spacings, errors, orders, floor)
 
 
 def convergence_study(
@@ -151,31 +209,6 @@ def convergence_study(
     h_list: Sequence[float] | Iterable[float],
     formula_id: str = "",
 ) -> ConvergenceReport:
-    """Absolute errors of ``s`` against a known derivative on a spacing grid.
-
-    ``h_list`` must be strictly decreasing with at least three entries, so
-    pairwise orders and the floor heuristic are meaningful.  Evaluations are
-    independent per spacing; results are assembled in grid order.
-    """
-    spacings = tuple(float(h) for h in h_list)
-    if len(spacings) < 3:
-        raise ValueError("need at least three spacings")
-    if any(b >= a for a, b in zip(spacings, spacings[1:])):
-        raise ValueError("spacings must be strictly decreasing")
-    errors = tuple(abs(apply_stencil(s, f, x0, h) - df_true) for h in spacings)
-    orders = tuple(
-        _pairwise_order(errors[i], errors[i + 1], spacings[i], spacings[i + 1])
-        for i in range(len(spacings) - 1)
-    )
-    floor = len(spacings)
-    for i in range(1, len(errors)):
-        if errors[i] > 2.0 * errors[i - 1]:
-            floor = i
-            break
-    return ConvergenceReport(
-        formula_id=formula_id or s.provenance,
-        spacings=spacings,
-        abs_errors=errors,
-        observed_orders=orders,
-        roundoff_floor_index=floor,
-    )
+    """:func:`convergence_studies` of one stencil, named ``formula_id`` or its provenance."""
+    named = [(formula_id or s.provenance, s)]
+    return next(convergence_studies(named, f, df_true, x0, h_list))

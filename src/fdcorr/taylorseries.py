@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .exactmath import Rational, format_rational, power_sums
+from .exactmath import Rational, power_sums
 from .gridops import OperatorExpr, expand
 
 __all__ = [
@@ -51,15 +51,6 @@ class ErrorSeries:
         if i > self.truncation:
             raise ValueError(f"series truncated at {self.truncation}, asked for {i}")
         return self.coeffs.get(i, Fraction(0))
-
-    def indices(self) -> list[int]:
-        return sorted(self.coeffs)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lead": self.lead,
-            "coeffs": {str(i): format_rational(self.coeffs[i]) for i in self.indices()},
-        }
 
 
 def default_truncation(lead: int, order: int) -> int:

@@ -231,6 +231,24 @@ class TestStudy:
         second = (tmp_path / "two" / "BC6.csv").read_bytes()
         assert first == second
 
+    @pytest.mark.parametrize(
+        "ids, function, flags, named",
+        [
+            ("C4,C5", "sin100pi", [], "'C5'"),
+            # C4's nodes stay in range at these spacings, B6's reach 6h and overflow
+            ("C4,B6", "poly:x^2", ["--h-max", "5e153", "--h-min", "1e153"], "overflows"),
+        ],
+    )
+    def test_bad_input_anywhere_exits_2_before_any_csv(
+        self, capsys, tmp_path, ids, function, flags, named
+    ):
+        csv_dir = tmp_path / "D"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["study", ids, function, "0", "--csv-dir", str(csv_dir), *flags])
+        assert excinfo.value.code == 2
+        assert named in capsys.readouterr().err
+        assert not (csv_dir / "C4.csv").exists()
+
     def test_unknown_function_exits_2(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["study", "B6", "sin42", "0", "--csv-dir", str(tmp_path)])

@@ -98,7 +98,7 @@ class TestExpand:
         for powers in itertools.product(range(4), repeat=4):
             expr = word(*powers, spacing=spacing)
             nodes = expand(expr)
-            assert nodes == convolved_expansion(expr), expr.describe()
+            assert nodes == convolved_expansion(expr), expr
             # apply_stencil picks exact or float arithmetic from these types
             assert all(type(o) is Fraction and type(w) is Fraction for o, w in nodes.items())
 
@@ -219,7 +219,6 @@ class TestApply:
         assert apply(expr, u, 0, k) == nested_apply(expr, u, 0, k)
 
     def test_factor_order_is_irrelevant(self):
-        assert expand(word(fwd=1) * word(bwd=1)) == expand(word(bwd=1) * word(fwd=1))
         values = [Fraction(i**3, 2) for i in range(33)]
         u = grid_samples(values)
         fwd_then_bwd = nested_apply(word(fwd=1, bwd=1), u, 0, 1)

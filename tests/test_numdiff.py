@@ -1,6 +1,7 @@
 """Float evaluation, exact evaluation, and convergence-study mechanics."""
 
 import math
+import struct
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -10,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from fdcorr import (
+    ConvergenceReport,
     Stencil,
     apply_stencil,
     centered_formula,
+    convergence_studies,
     convergence_study,
     flatten,
     general_defcor,
@@ -20,6 +23,7 @@ from fdcorr import (
     standard_backward,
     standard_forward,
 )
+from fdcorr.cli import formula_from_id
 
 C4 = flatten(centered_formula(1))
 SECOND = flatten(general_defcor(2, 2, []))
@@ -190,6 +194,8 @@ class TestConvergenceStudy:
             convergence_study(C4, f, 1.0, 0.0, [0.1, 0.05])
         with pytest.raises(ValueError):
             convergence_study(C4, f, 1.0, 0.0, [0.1, 0.1, 0.05])
+        with pytest.raises(ValueError, match="spacing h must be positive"):
+            convergence_study(C4, f, 1.0, 0.0, [0.1, 0.0, -0.1])
 
     def test_sixth_order_backward_on_oscillatory_function(self):
         st = flatten(standard_backward(6))
@@ -223,15 +229,16 @@ class TestConvergenceStudy:
         assert report.abs_errors == (0.0, 0.0, 0.0)
         assert math.isnan(report.fitted_order())
 
-    def test_csv_rows(self):
+    def test_csv_rows(self, tmp_path):
         st = flatten(standard_backward(6))
         report = convergence_study(
             st, lambda x: math.sin(x), 1.0, 0.0, [0.4, 0.2, 0.1], formula_id="B6"
         )
-        rows = report.csv_rows()
-        assert rows[0] == ("h", "abs_error", "observed_order")
-        assert rows[1][2] == ""
-        assert rows[2][2] != ""
+        report.write_csv(tmp_path / "B6.csv")
+        rows = [line.split(",") for line in (tmp_path / "B6.csv").read_text().splitlines()]
+        assert rows[0] == ["h", "abs_error", "observed_order"]
+        assert rows[1] == ["0.4", repr(report.abs_errors[0]), ""]
+        assert rows[2][2] == repr(report.observed_orders[0]) != ""
         assert len(rows) == 4
 
     def test_each_node_is_converted_to_float_at_most_once(self):
@@ -263,3 +270,134 @@ class TestConvergenceStudy:
         grid = [0.4, 0.2, 0.1]
         report = convergence_study(st, math.sin, 1.0, 0.0, grid)
         assert report.fit_window() == [0, 1, 2]
+
+
+# the ``study`` benchmark's 48 ids: every id of order <= 10
+STUDY_IDS = [f"{prefix}{order}" for prefix in ("B", "F", "BC", "FC") for order in range(2, 11)]
+STUDY_IDS += [f"{prefix}{order}" for prefix in ("C", "CA", "IC") for order in range(4, 11, 2)]
+
+
+def reference_report(formula_id, s, f, df_true, x0, spacings):
+    """The report as one stencil on its own gives it: an ascending float sum per spacing."""
+    errors = []
+    for h in spacings:
+        total = 0.0
+        for o, w in s.nodes():
+            total += float(w) * f(x0 + float(o) * h)
+        errors.append(abs(total / h**s.m - df_true))
+    orders = []
+    for i in range(len(spacings) - 1):
+        e0, e1 = errors[i], errors[i + 1]
+        if e0 <= 0.0 or e1 <= 0.0:
+            orders.append(math.inf if e1 == 0.0 and e0 > 0.0 else math.nan)
+        else:
+            orders.append(math.log(e0 / e1) / math.log(spacings[i] / spacings[i + 1]))
+    floor = len(errors)
+    for i in range(1, len(errors)):
+        if errors[i] > 2.0 * errors[i - 1]:
+            floor = i
+            break
+    return ConvergenceReport(formula_id, tuple(spacings), tuple(errors), tuple(orders), floor)
+
+
+def bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+class TestConvergenceStudies:
+    def test_samples_each_distinct_node_once_per_spacing(self):
+        named = [(fid, flatten(formula_from_id(fid))) for fid in STUDY_IDS]
+        assert sum(len(s.offsets) for _, s in named) == 326
+        assert len({o for _, s in named for o in s.offsets}) == 31
+        calls = Counter()
+        omega = 100 * math.pi
+
+        def u(x):
+            calls[x] += 1
+            return math.sin(omega * x)
+
+        grid = [1e-3 * 2.0**-j for j in range(12)]
+        reports = list(convergence_studies(named, u, omega, 0.1, grid))
+        assert sum(calls.values()) == 31 * 12
+        assert [r.formula_id for r in reports] == STUDY_IDS
+        assert all(r.spacings is reports[0].spacings for r in reports)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pool=hs.lists(
+            hs.fractions(min_value=-6, max_value=6, max_denominator=4),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        ),
+        data=hs.data(),
+        x0=hs.floats(-2.0, 2.0),
+        h0=hs.floats(1e-4, 1.0),
+        factor=hs.floats(1.01, 4.0),
+        count=hs.integers(3, 8),
+        omega=hs.floats(0.1, 400.0),
+    )
+    def test_batch_equals_each_stencil_alone_bitwise(
+        self, pool, data, x0, h0, factor, count, omega
+    ):
+        named = []
+        for k in range(data.draw(hs.integers(1, 6))):
+            offsets = data.draw(hs.lists(hs.sampled_from(pool), min_size=1, unique=True))
+            weights = data.draw(
+                hs.lists(
+                    hs.fractions(max_denominator=10**6).filter(lambda w: w != 0),
+                    min_size=len(offsets),
+                    max_size=len(offsets),
+                )
+            )
+            st = Stencil(
+                m=data.draw(hs.integers(0, 3)),
+                order=1,
+                offsets=tuple(sorted(offsets)),
+                weights=tuple(weights),
+                error_constant=Fraction(0),
+            )
+            named.append((f"s{k}", st))
+        f = lambda x: math.sin(omega * x)
+        spacings = [h0 / factor**i for i in range(count)]
+        df_true = omega * math.cos(omega * x0)
+        reports = list(convergence_studies(named, f, df_true, x0, spacings))
+        assert len(reports) == len(named)
+        for (formula_id, st), got in zip(named, reports):
+            want = reference_report(formula_id, st, f, df_true, x0, spacings)
+            assert got.formula_id == want.formula_id
+            assert got.spacings == want.spacings
+            assert bits(got.abs_errors) == bits(want.abs_errors)
+            assert bits(got.observed_orders) == bits(want.observed_orders)
+            assert got.roundoff_floor_index == want.roundoff_floor_index
+
+    def test_nonfinite_sample_warns_once_per_stencil_node_and_spacing(self):
+        half = Stencil(
+            m=1,
+            order=2,
+            offsets=(Fraction(-1, 2), Fraction(1, 2)),
+            weights=(Fraction(-1), Fraction(1)),
+            error_constant=Fraction(1, 24),
+        )
+        f = lambda x: math.inf if x == 0.5 else math.sin(x)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reports = list(
+                convergence_studies([("C4", C4), ("half", half)], f, 1.0, 0.0, [1.0, 0.5, 0.25])
+            )
+        # offset 1/2 at spacing 1 is the one sample at 0.5; both stencils use it
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (RuntimeWarning, "nonfinite sample inf at x = 0.5 (offset 1/2)"),
+        ] * 2
+        assert {w.filename for w in caught} == {__file__}
+        for report in reports:
+            assert report.abs_errors[0] == math.inf
+            assert all(map(math.isfinite, report.abs_errors[1:]))
+
+    def test_repeated_ids_keep_their_order_and_count(self):
+        f = math.sin
+        named = [("C4", C4), ("central", CENTRAL), ("C4", C4), ("C4", C4)]
+        reports = list(convergence_studies(named, f, 1.0, 0.3, [0.1, 0.05, 0.025]))
+        assert [r.formula_id for r in reports] == ["C4", "central", "C4", "C4"]
+        assert reports[0] == reports[2] == reports[3]
+        assert reports[0] == convergence_study(C4, f, 1.0, 0.3, [0.1, 0.05, 0.025])

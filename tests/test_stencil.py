@@ -69,7 +69,8 @@ class TestFlatten:
     def test_mixed_anchors_rejected(self):
         formula = centered_formula(1)
         coeff, expr = formula.terms[0]
-        shifted = replace(formula, terms=((coeff, expr.shifted(1)),))
+        assert expr == word(fwd=1, bwd=1, cent=1)
+        shifted = replace(formula, terms=((coeff, word(fwd=1, bwd=1, cent=1, shift=1)),))
         with pytest.raises(FlattenError, match="different evaluation points"):
             flatten(shifted)
 
