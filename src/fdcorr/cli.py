@@ -24,7 +24,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .defcor import FAMILIES, CorrectionFormula, Family, catalog, forward_centered
+from .defcor import (
+    FAMILIES, CorrectionFormula, Family, catalog, family_named, forward_centered
+)
 from .exactmath import Rational, format_rational
 from .numdiff import convergence_studies
 from .stencil import flatten, oracle_weights, verify
@@ -39,11 +41,6 @@ MAX_ORDER = 200
 
 class FormulaIdError(ValueError):
     pass
-
-
-def _family_named(name: str) -> Family | None:
-    key = name.lower()
-    return next((f for f in FAMILIES if key == f.name or key in f.aliases), None)
 
 
 def _check_order(order: int, context: str) -> None:
@@ -62,7 +59,7 @@ def parse_formula_id(formula_id: str) -> tuple[str, int]:
     text = formula_id.strip()
     long_form = re.fullmatch(r"([a-z-]+):p=(\d+)", text, re.IGNORECASE)
     if long_form:
-        family = _family_named(long_form.group(1))
+        family = family_named(long_form.group(1))
         if family is None:
             raise FormulaIdError(f"unknown family in {formula_id!r}")
         p = int(long_form.group(2))
@@ -88,7 +85,7 @@ def parse_formula_id(formula_id: str) -> tuple[str, int]:
 
 def formula_from_id(formula_id: str) -> CorrectionFormula:
     name, p = parse_formula_id(formula_id)
-    return _family_named(name).build(p)[0]
+    return family_named(name).build(p)[0]
 
 
 def _json_dumps(obj: dict) -> str:
@@ -106,7 +103,7 @@ def _coeff_row(coefficients: Mapping[int, Rational]) -> list[tuple[str, str]]:
 
 
 def cmd_coeffs(args: argparse.Namespace) -> int:
-    family = _family_named(args.family)
+    family = family_named(args.family)
     if family is None:
         raise FormulaIdError(f"unknown family {args.family!r}")
     p = args.p
@@ -203,9 +200,12 @@ def _polynomial(name: str, poly: Mapping[int, float]) -> Callable[[float], float
 
     def evaluate(x: float) -> float:
         try:
-            return sum([c * x**d for d, c in terms])
+            value = sum([c * x**d for d, c in terms])
         except OverflowError:
-            raise FormulaIdError(f"function {name!r} overflows at x = {x!r}") from None
+            value = math.inf
+        if not math.isfinite(value):
+            raise FormulaIdError(f"function {name!r} overflows at x = {x!r}")
+        return value
 
     return evaluate
 

@@ -17,11 +17,11 @@ constant:
 
     formula(u)(x) = u^(m)(x) + error_constant * k**order * u^(m+order)(x) + ...
 
-The named generators (`centered_formula`, `forward_centered`, ...) are thin
-configurations of :func:`general_defcor`; each fixes a seed and a sequence of
-correction words, labels the result, and converts ``family_coefficients`` to
-the sign or scale its defining identity is usually written in.
-:data:`FAMILIES` lists the named families with their ids and generators.
+Each named family is defined once, by its row in :data:`FAMILIES`.  Its
+generator (`centered_formula`, `forward_centered`, ...) gives only a seed, a
+sequence of correction words, and the sign or scale that converts
+``family_coefficients`` to the convention its defining identity is usually
+written in; the row gives the rest of one :func:`general_defcor` call.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .exactmath import Rational, RationalLike, format_rational
+from .exactmath import Rational, format_rational
 from .gridops import OperatorExpr, word
 from .taylorseries import default_truncation, error_series
 
@@ -72,17 +72,9 @@ class CorrectionFormula:
     terms: tuple[tuple[Rational, OperatorExpr], ...]
     order: int
     error_constant: Rational
+    family_coefficients: Mapping[int, Rational]
     family: str = "general"
-    family_coefficients: Mapping[int, Rational] = None  # type: ignore[assignment]
     label: str = ""
-
-    def __post_init__(self) -> None:
-        if self.family_coefficients is None:
-            object.__setattr__(
-                self,
-                "family_coefficients",
-                {expr.diff_order: coeff for coeff, expr in self.terms},
-            )
 
     def to_json_dict(self) -> dict:
         return {
@@ -114,7 +106,6 @@ def general_defcor(
     m: int,
     order: int,
     choices: Sequence[OperatorExpr],
-    epsilons: Sequence[RationalLike] | None = None,
     base: OperatorExpr | None = None,
     family: str = "general",
     label: str = "",
@@ -125,10 +116,11 @@ def general_defcor(
     each must match the differentiation order of the term it is meant to
     cancel (the engine raises :class:`DegenerateChoiceError` otherwise, e.g.
     when a word skips over a surviving term or targets one that symmetry has
-    already removed).  ``epsilons`` optionally re-steps each choice relative
-    to the global spacing.  With no ``base`` given, a centered seed of the
-    right order is used.  Unused trailing choices are ignored; running out of
-    them before reaching ``order`` is an error.
+    already removed); a word's step is its own ``spacing_factor`` times the
+    global spacing.  With no ``base`` given, a centered seed of the right
+    order is used.  Unused trailing choices are ignored; running out of them
+    before reaching ``order`` is an error.  The result's
+    ``family_coefficients`` maps each word's order to its engine coefficient.
     """
     if m < 0:
         raise ValueError("derivative order m must be nonnegative")
@@ -140,20 +132,13 @@ def general_defcor(
         raise ValueError(
             f"seed word differentiates {base.diff_order} times, need {m}"
         )
-    effective = list(choices)
-    if epsilons is not None:
-        if len(epsilons) != len(effective):
-            raise ValueError("epsilons must pair one-to-one with choices")
-        effective = [
-            expr.with_spacing(eps) for expr, eps in zip(effective, epsilons)
-        ]
 
     truncation = default_truncation(m, order)
     residual = dict.fromkeys(range(m + 1, truncation + 1), Fraction(0))
     residual.update(error_series(base, truncation).coeffs)
 
     applied: list[tuple[Rational, OperatorExpr]] = []
-    queue = iter(effective)
+    queue = iter(choices)
     while True:
         leading = next((i for i in sorted(residual) if residual[i]), None)
         if leading is None:
@@ -188,14 +173,31 @@ def general_defcor(
         terms=tuple(applied),
         order=achieved,
         error_constant=residual[leading],
+        family_coefficients={expr.diff_order: coeff for coeff, expr in applied},
         family=family,
         label=label,
     )
 
 
-def _rescaled(formula: CorrectionFormula, factor: int) -> CorrectionFormula:
-    """``formula`` with its ``family_coefficients`` multiplied by ``factor``."""
-    coeffs = {i: factor * c for i, c in formula.family_coefficients.items()}
+def _generate(
+    name: str, p: int, seed: OperatorExpr, words: Sequence[OperatorExpr], scale: int = 1
+) -> CorrectionFormula:
+    """The formula of registry row ``name`` at parameter ``p``.
+
+    The row sets the lowest ``p``, the order, the family name and the label;
+    ``seed`` sets ``m``.  ``scale`` multiplies the engine coefficients into
+    the family's conventional ``family_coefficients``.
+    """
+    row = family_named(name)
+    if p < row.min_p:
+        raise ValueError(f"p must be at least {row.min_p}")
+    order = row.order(p)
+    owner = family_named(name.removesuffix("-value"))
+    label = f"{owner.prefix}{order}" + ("" if owner is row else "-value")
+    formula = general_defcor(
+        seed.diff_order, order, words, base=seed, family=owner.name, label=label
+    )
+    coeffs = {i: scale * c for i, c in formula.family_coefficients.items()}
     return replace(formula, family_coefficients=coeffs)
 
 
@@ -207,13 +209,8 @@ def centered_formula(p: int) -> CorrectionFormula:
     two orders.  ``family_coefficients[2i+1]`` is the subtracted multiple of
     the order-``2i+1`` word and the error constant continues the sequence.
     """
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    base = word(cent=1)
-    choices = [word(cent=1, fwd=i, bwd=i) for i in range(1, p + 1)]
-    return general_defcor(
-        1, 2 * p + 2, choices, base=base, family="centered", label=f"C{2 * p + 2}"
-    )
+    words = [word(cent=1, fwd=i, bwd=i) for i in range(1, p + 1)]
+    return _generate("centered", p, word(cent=1), words)
 
 
 def centered_average_formula(p: int) -> CorrectionFormula:
@@ -223,14 +220,8 @@ def centered_average_formula(p: int) -> CorrectionFormula:
     centered words followed by an average, orders 2, 4, ..., 2p, achieving
     order ``2p + 2`` for the midpoint value itself.
     """
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    order = 2 * p + 2
-    base = word(avg=1)
-    choices = [word(avg=1, fwd=i, bwd=i) for i in range(1, p + 1)]
-    return general_defcor(
-        0, order, choices, base=base, family="centered-average", label=f"CA{order}"
-    )
+    words = [word(avg=1, fwd=i, bwd=i) for i in range(1, p + 1)]
+    return _generate("centered-average", p, word(avg=1), words)
 
 
 def interior_centered(p: int) -> tuple[CorrectionFormula, CorrectionFormula]:
@@ -247,26 +238,12 @@ def interior_centered(p: int) -> tuple[CorrectionFormula, CorrectionFormula]:
     correction sum: odd entries are the engine coefficients times ``2p + 1``,
     even entries (from the value formula) are the engine coefficients.
     """
-    if p < 1:
-        raise ValueError("p must be at least 1")
     span = 2 * p + 1
-    deriv = general_defcor(
-        1,
-        2 * p + 2,
-        [word(cent=1, fwd=i, bwd=i) for i in range(1, p + 1)],
-        base=word(cent=1, spacing=span),
-        family="interior-centered",
-        label=f"IC{2 * p + 2}",
-    )
-    value = general_defcor(
-        0,
-        2 * p + 2,
-        [word(avg=1, fwd=i, bwd=i) for i in range(1, p + 1)],
-        base=word(avg=1, spacing=span),
-        family="interior-centered",
-        label=f"IC{2 * p + 2}-value",
-    )
-    return _rescaled(deriv, span), value
+    odd = [word(cent=1, fwd=i, bwd=i) for i in range(1, p + 1)]
+    deriv = _generate("interior-centered", p, word(cent=1, spacing=span), odd, scale=span)
+    even = [word(avg=1, fwd=i, bwd=i) for i in range(1, p + 1)]
+    value = _generate("interior-centered-value", p, word(avg=1, spacing=span), even)
+    return deriv, value
 
 
 def _mixed_words(upto: int) -> list[OperatorExpr]:
@@ -284,12 +261,7 @@ def forward_centered(p: int) -> CorrectionFormula:
     :func:`standard_forward`.  Achieves order ``p`` with error constant equal
     to the next coefficient in the family sequence.
     """
-    if p < 2:
-        raise ValueError("p must be at least 2")
-    choices = _mixed_words(p)
-    return general_defcor(
-        1, p, choices, base=word(fwd=1), family="forward-centered", label=f"FC{p}"
-    )
+    return _generate("forward-centered", p, word(fwd=1), _mixed_words(p))
 
 
 def backward_centered(p: int) -> CorrectionFormula:
@@ -299,13 +271,7 @@ def backward_centered(p: int) -> CorrectionFormula:
     ``family_coefficients`` are the negated engine coefficients: they share
     the order-2 entry with the forward variant and flip sign from order 3 on.
     """
-    if p < 2:
-        raise ValueError("p must be at least 2")
-    choices = _mixed_words(p)
-    formula = general_defcor(
-        1, p, choices, base=word(bwd=1), family="backward-centered", label=f"BC{p}"
-    )
-    return _rescaled(formula, -1)
+    return _generate("backward-centered", p, word(bwd=1), _mixed_words(p), scale=-1)
 
 
 def standard_forward(p: int) -> CorrectionFormula:
@@ -314,12 +280,8 @@ def standard_forward(p: int) -> CorrectionFormula:
     Corrections are the pure forward powers; the subtracted coefficients come
     out as ``(-1)**i / i`` with error constant ``(-1)**(p+1) / (p+1)``.
     """
-    if p < 2:
-        raise ValueError("p must be at least 2")
-    choices = [word(fwd=i) for i in range(2, p + 1)]
-    return general_defcor(
-        1, p, choices, base=word(fwd=1), family="standard-forward", label=f"F{p}"
-    )
+    words = [word(fwd=i) for i in range(2, p + 1)]
+    return _generate("standard-forward", p, word(fwd=1), words)
 
 
 def standard_backward(p: int) -> CorrectionFormula:
@@ -330,13 +292,8 @@ def standard_backward(p: int) -> CorrectionFormula:
     coefficients are their negatives; the subtracted-side error constant is
     ``-1 / (p + 1)``.
     """
-    if p < 2:
-        raise ValueError("p must be at least 2")
-    choices = [word(bwd=i) for i in range(2, p + 1)]
-    formula = general_defcor(
-        1, p, choices, base=word(bwd=1), family="standard-backward", label=f"B{p}"
-    )
-    return _rescaled(formula, -1)
+    words = [word(bwd=i) for i in range(2, p + 1)]
+    return _generate("standard-backward", p, word(bwd=1), words, scale=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -345,14 +302,18 @@ def standard_backward(p: int) -> CorrectionFormula:
 
 @dataclass(frozen=True)
 class Family:
-    """One named family: how ids spell it, its parameter range, its generator.
+    """One named family's one definition: ids, parameter range, order rule.
 
     Centered families have symmetric seeds, so parameter ``p`` reaches order
-    ``2p + 2`` and only even orders exist; the others reach order ``p``.
-    ``build(p)`` calls the generator and returns every formula that one call
-    yields; the first is the family's own formula.  ``listed`` is false for a
-    family whose formulas another entry's ``build`` already yields, so
-    :func:`catalog` builds each formula once.
+    ``2p + 2`` and only even orders exist; the others reach order ``p``.  The
+    family's generator gives only a seed, the correction words and the scale
+    of ``family_coefficients``; its ``p`` guard, order, family name and label
+    come from this row.  ``build(p)`` calls the generator and returns every
+    formula that one call yields; the first is the family's own formula.
+    ``listed`` is false for a family whose formulas another entry's ``build``
+    already yields, so :func:`catalog` builds each formula once.  The formulas
+    of a ``<family>-value`` row belong to ``<family>``: they carry its name
+    and the label ``<prefix><order>-value``.
     """
 
     name: str
@@ -396,8 +357,15 @@ FAMILIES: tuple[Family, ...] = (
 )
 
 
-# Not in ``__all__``: ``verify-all`` runs through this, and the exported names
-# are the ones the benchmark's tracer counts calls of.
+# Not in ``__all__`` (nor is ``family_named``): ``verify-all`` runs through
+# these, and the exported names are the ones the benchmark's tracer counts
+# calls of.
+def family_named(name: str) -> Family | None:
+    """The row whose name or alias is ``name``, in any letter case."""
+    key = name.lower()
+    return next((f for f in FAMILIES if key == f.name or key in f.aliases), None)
+
+
 def catalog(max_order: int) -> Iterator[CorrectionFormula]:
     """Every listed family's formulas up to accuracy order ``max_order``.
 

@@ -29,7 +29,7 @@ at the end: no rational arithmetic, and the expansion is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -78,9 +78,6 @@ class OperatorExpr:
     def diff_order(self) -> int:
         """Total differentiation order of the word."""
         return self.p_fwd + self.p_bwd + self.p_cent
-
-    def with_spacing(self, spacing: RationalLike) -> "OperatorExpr":
-        return replace(self, spacing_factor=Fraction(spacing))
 
     def to_json_dict(self) -> dict:
         return {

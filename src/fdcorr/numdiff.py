@@ -92,7 +92,8 @@ class ConvergenceReport:
     """Errors of one stencil over a decreasing spacing grid.
 
     ``observed_orders[i]`` is the pairwise slope between spacings ``i`` and
-    ``i + 1``.  ``roundoff_floor_index`` flags where errors stop behaving:
+    ``i + 1``, ``-inf`` where error ``i + 1`` is infinite and error ``i``
+    is not.  ``roundoff_floor_index`` flags where errors stop behaving:
     the first index whose error grew by more than a factor of two over its
     predecessor (``len(spacings)`` when that never happens); entries from
     there on say nothing about the formula's order.
@@ -192,7 +193,8 @@ def _report(formula_id, m, total, df_true, spacings, log_steps) -> ConvergenceRe
     orders = tuple([
         (math.inf if e1 == 0.0 and e0 > 0.0 else math.nan)
         if e0 <= 0.0 or e1 <= 0.0
-        else math.log(e0 / e1) / step
+        # a ratio of 0 (the next error is inf, or e0 / e1 underflows) is -inf
+        else (math.log(ratio) / step if (ratio := e0 / e1) != 0.0 else -math.inf)
         for e0, e1, step in zip(errors, errors[1:], log_steps)
     ])
     floor = next(

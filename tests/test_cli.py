@@ -123,6 +123,16 @@ class TestCoeffs:
         assert payload["order"] == 6
         assert payload["terms"][0]["coeff"] == "1/24"
 
+    def test_value_row_table(self, capsys):
+        code, out, _ = run(capsys, "coeffs", "interior-centered-value", "2")
+        assert code == 0
+        assert out.splitlines() == [
+            "interior-centered-value coefficients, p=2 (order 6)",
+            "           i=2             i=4",
+            "          25/8         125/128",
+            "error constant: 5/1024",
+        ]
+
     def test_unknown_family_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["coeffs", "mystery", "3"])
@@ -161,6 +171,15 @@ class TestStencil:
         assert payload["order"] == 6
         assert payload["m"] == 1
         assert len(payload["nodes"]) == 6
+
+    def test_value_row_id(self, capsys):
+        code, out, _ = run(capsys, "stencil", "interior-centered-value:p=1")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["m"], payload["order"]) == (0, 4)
+        assert payload["provenance"] == "IC4-value"
+        weights = [node["weight"] for node in payload["nodes"]]
+        assert weights == ["-1/16", "9/16", "9/16", "-1/16"]
 
     def test_bad_id_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -302,6 +321,20 @@ class TestStudy:
         assert proc.stderr.splitlines() == [
             "fdcorr: error: function 'poly:x^2' overflows at x = -1.5e+300"
         ]
+
+    def test_polynomial_overflowing_after_the_power_exits_2(self, tmp_path):
+        # x**2 is finite at x = -6e153, but 9 * x**2 is inf without raising
+        env = dict(os.environ, PYTHONPATH=str(Path(fdcorr.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fdcorr.cli", "study", "C4", "poly:9x^2", "0",
+             "--csv-dir", str(tmp_path), "--h-max", "4e153", "--h-min", "1e153"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "fdcorr: error: function 'poly:9x^2' overflows at x = -5.9999999999999996e+153"
+        ]
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestVerifyAll:

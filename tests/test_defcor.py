@@ -20,6 +20,7 @@ from fdcorr import (
     standard_forward,
     word,
 )
+from fdcorr.defcor import FAMILIES
 
 
 def frac(n, d=1):
@@ -169,6 +170,27 @@ class TestOneSidedFamilies:
         assert abs(mixed.error_constant) < abs(plain.error_constant)
 
 
+class TestRegistryRows:
+    """Each ``FAMILIES`` row fixes its family's lowest p, orders and labels."""
+
+    @pytest.mark.parametrize("row", FAMILIES, ids=lambda f: f.name)
+    def test_below_min_p_raises(self, row):
+        with pytest.raises(ValueError, match=rf"^p must be at least {row.min_p}$"):
+            row.build(row.min_p - 1)
+
+    @pytest.mark.parametrize("row", FAMILIES, ids=lambda f: f.name)
+    def test_formulas_follow_the_row(self, row):
+        for p in (row.min_p, row.min_p + 2):
+            order = row.order(p)
+            formulas = row.build(p)
+            assert [f.order for f in formulas] == [order] * len(formulas)
+            if row.prefix is None:  # the interior-centered value row
+                expected = ("interior-centered", f"IC{order}-value")
+            else:
+                expected = (row.name, f"{row.prefix}{order}")
+            assert (formulas[0].family, formulas[0].label) == expected
+
+
 class TestSecondDerivativeConstants:
     def test_order_two(self):
         formula = general_defcor(2, 2, [])
@@ -227,10 +249,6 @@ class TestGeneralEngine:
         with pytest.raises(ValueError, match="ran out"):
             general_defcor(1, 4, [word(fwd=2)], base=word(fwd=1))
 
-    def test_epsilons_must_pair_with_choices(self):
-        with pytest.raises(ValueError, match="pair"):
-            general_defcor(1, 3, [word(fwd=2)], epsilons=[1, 2], base=word(fwd=1))
-
     def test_seed_order_must_match_m(self):
         with pytest.raises(ValueError, match="seed"):
             general_defcor(2, 2, [], base=word(fwd=1))
@@ -240,8 +258,7 @@ class TestGeneralEngine:
         formula = general_defcor(
             1,
             4,
-            [word(cent=1, fwd=1, bwd=1)],
-            epsilons=[Fraction(1, 2)],
+            [word(cent=1, fwd=1, bwd=1, spacing=Fraction(1, 2))],
             base=word(cent=1),
         )
         assert formula.order == 4

@@ -229,6 +229,19 @@ class TestConvergenceStudy:
         assert report.abs_errors == (0.0, 0.0, 0.0)
         assert math.isnan(report.fitted_order())
 
+    def test_error_turning_infinite_gives_order_minus_inf(self):
+        # the last error is inf, so e0 / e1 is 0, whose log is undefined
+        f = lambda x: math.inf if 0 < x < 0.2 else math.sin(x)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = convergence_study(C4, f, 1.0, 0.0, [1.0, 0.5, 0.25])
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (RuntimeWarning, "nonfinite sample inf at x = 0.125 (offset 1/2)"),
+        ]
+        assert report.abs_errors[-1] == math.inf
+        assert report.observed_orders[-1] == -math.inf
+        assert math.isnan(report.fitted_order())
+
     def test_csv_rows(self, tmp_path):
         st = flatten(standard_backward(6))
         report = convergence_study(

@@ -229,8 +229,7 @@ def test_half_step_correction_formula_flattens_and_verifies():
     formula = general_defcor(
         1,
         4,
-        [word(cent=1, fwd=1, bwd=1)],
-        epsilons=[Fraction(1, 2)],
+        [word(cent=1, fwd=1, bwd=1, spacing=Fraction(1, 2))],
         base=word(cent=1),
     )
     st = flatten(formula)
