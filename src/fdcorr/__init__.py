@@ -10,70 +10,19 @@ convergence studies, and :mod:`fdcorr.cli` exposes all of it on the command
 line.  Every coefficient is an exact rational.
 """
 
-from .defcor import (
-    CorrectionFormula,
-    DegenerateChoiceError,
-    backward_centered,
-    centered_average_formula,
-    centered_formula,
-    forward_centered,
-    general_defcor,
-    interior_centered,
-    standard_backward,
-    standard_forward,
-)
-from .exactmath import Rational, binom, format_rational, moment_sum
-from .gridops import (
-    GridFunction,
-    GridRangeError,
-    OperatorExpr,
-    apply,
-    expand,
-    normalize_composite,
-    product_rule_check,
-    word,
-)
-from .numdiff import ConvergenceReport, apply_stencil, convergence_studies, convergence_study
-from .stencil import FlattenError, Stencil, StencilCheck, flatten, oracle_weights, verify
-from .taylorseries import ErrorSeries, default_truncation, error_series, series_from_nodes
+from .exactmath import *
+from .gridops import *
+from .taylorseries import *
+from .defcor import *
+from .stencil import *
+from .numdiff import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CorrectionFormula",
-    "ConvergenceReport",
-    "DegenerateChoiceError",
-    "ErrorSeries",
-    "FlattenError",
-    "GridFunction",
-    "GridRangeError",
-    "OperatorExpr",
-    "Rational",
-    "Stencil",
-    "StencilCheck",
-    "apply",
-    "apply_stencil",
-    "backward_centered",
-    "binom",
-    "centered_average_formula",
-    "centered_formula",
-    "convergence_studies",
-    "convergence_study",
-    "default_truncation",
-    "error_series",
-    "expand",
-    "flatten",
-    "format_rational",
-    "forward_centered",
-    "general_defcor",
-    "interior_centered",
-    "moment_sum",
-    "normalize_composite",
-    "oracle_weights",
-    "product_rule_check",
-    "series_from_nodes",
-    "standard_backward",
-    "standard_forward",
-    "verify",
-    "word",
-]
+__all__: list[str] = []
+__all__ += exactmath.__all__
+__all__ += gridops.__all__
+__all__ += taylorseries.__all__
+__all__ += defcor.__all__
+__all__ += stencil.__all__
+__all__ += numdiff.__all__

@@ -284,28 +284,34 @@ def cmd_study(args: argparse.Namespace) -> int:
     df_true = du(x0)
     # Every id builds before any sample is taken or any CSV written.
     named = [(formula_id, flatten(formula_from_id(formula_id))) for formula_id in ids]
+    # This call takes every sample, so a sample that fails leaves no directory.
+    reports = convergence_studies(named, u, df_true, x0, grid)
     csv_dir = Path(args.csv_dir)
-    csv_dir.mkdir(parents=True, exist_ok=True)
-
     lines: list[str] = []
-    for report in convergence_studies(named, u, df_true, x0, grid):
-        path = csv_dir / f"{report.formula_id}.csv"
-        report.write_csv(path)
-        fitted = report.fitted_order()
-        fitted_text = "n/a" if math.isnan(fitted) else f"{fitted:.2f}"
-        lines.append(
-            f"{report.formula_id}: fitted order {fitted_text}, "
-            f"min error {report.min_error():.3e}, csv {path}"
-        )
+    try:
+        csv_dir.mkdir(parents=True, exist_ok=True)
+        for report in reports:
+            path = csv_dir / f"{report.formula_id}.csv"
+            report.write_csv(path)
+            fitted = report.fitted_order()
+            fitted_text = "n/a" if math.isnan(fitted) else f"{fitted:.2f}"
+            lines.append(
+                f"{report.formula_id}: fitted order {fitted_text}, "
+                f"min error {report.min_error():.3e}, csv {path}"
+            )
+        if args.gnuplot:
+            script = csv_dir / "study.gp"
+            plots = ", ".join(
+                f"'{formula_id}.csv' using 1:2 with linespoints title '{formula_id}'"
+                for formula_id in ids
+            )
+            script.write_text(_GNUPLOT_HEADER + f"plot {plots}\n")
+    except OSError as exc:
+        message = f"cannot write to --csv-dir {args.csv_dir!r}: {exc.strerror}"
+        raise FormulaIdError(message) from exc
     for line in lines:
         print(line)
     if args.gnuplot:
-        script = csv_dir / "study.gp"
-        plots = ", ".join(
-            f"'{formula_id}.csv' using 1:2 with linespoints title '{formula_id}'"
-            for formula_id in ids
-        )
-        script.write_text(_GNUPLOT_HEADER + f"plot {plots}\n")
         print(f"gnuplot script: {script}")
     return 0
 

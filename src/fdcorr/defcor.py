@@ -37,8 +37,6 @@ from .taylorseries import default_truncation, error_series
 __all__ = [
     "CorrectionFormula",
     "DegenerateChoiceError",
-    "FAMILIES",
-    "Family",
     "general_defcor",
     "centered_formula",
     "centered_average_formula",
@@ -107,8 +105,6 @@ def general_defcor(
     order: int,
     choices: Sequence[OperatorExpr],
     base: OperatorExpr | None = None,
-    family: str = "general",
-    label: str = "",
 ) -> CorrectionFormula:
     """Cancel error terms of a seed until the requested order is reached.
 
@@ -121,6 +117,8 @@ def general_defcor(
     order is used.  Unused trailing choices are ignored; running out of them
     before reaching ``order`` is an error.  The result's
     ``family_coefficients`` maps each word's order to its engine coefficient.
+    Its ``family`` and ``label`` are the defaults; a named family's formulas
+    take theirs from the family's :data:`FAMILIES` row.
     """
     if m < 0:
         raise ValueError("derivative order m must be nonnegative")
@@ -174,8 +172,6 @@ def general_defcor(
         order=achieved,
         error_constant=residual[leading],
         family_coefficients={expr.diff_order: coeff for coeff, expr in applied},
-        family=family,
-        label=label,
     )
 
 
@@ -194,11 +190,9 @@ def _generate(
     order = row.order(p)
     owner = family_named(name.removesuffix("-value"))
     label = f"{owner.prefix}{order}" + ("" if owner is row else "-value")
-    formula = general_defcor(
-        seed.diff_order, order, words, base=seed, family=owner.name, label=label
-    )
+    formula = general_defcor(seed.diff_order, order, words, base=seed)
     coeffs = {i: scale * c for i, c in formula.family_coefficients.items()}
-    return replace(formula, family_coefficients=coeffs)
+    return replace(formula, family_coefficients=coeffs, family=owner.name, label=label)
 
 
 def centered_formula(p: int) -> CorrectionFormula:

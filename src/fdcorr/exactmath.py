@@ -21,7 +21,6 @@ RationalLike = Union[Rational, int, str]
 
 __all__ = [
     "Rational",
-    "RationalLike",
     "binom",
     "moment_sum",
     "format_rational",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,11 +59,7 @@ def apply_stencil(s: Stencil, f: Callable, x0: float | Rational, h: float | Rati
 
 
 def _column_sums(stencils, f: Callable, x0: float, spacings) -> list[list[float]]:
-    """``sum_j w_j f(x0 + o_j h)`` of each stencil at each spacing, in floats.
-
-    Call it only directly from a public function: its warnings use
-    ``stacklevel=3`` to name that function's caller.
-    """
+    """``sum_j w_j f(x0 + o_j h)`` of each stencil at each spacing, in floats."""
     users: dict[float, list[tuple[int, float, Rational]]] = {}
     for k, s in enumerate(stencils):
         for exact, (offset, weight) in zip(s.offsets, s.float_nodes):
@@ -76,10 +73,18 @@ def _column_sums(stencils, f: Callable, x0: float, spacings) -> list[list[float]
         for k, weight, exact in users[offset]:
             for x, value in bad:
                 warnings.warn(f"nonfinite sample {value!r} at x = {x!r} (offset {exact})",
-                              RuntimeWarning, stacklevel=3)
+                              RuntimeWarning, stacklevel=_outside_level())
             totals[k] = [t + weight * v for t, v in zip(totals[k], column)]
         del column
     return totals
+
+
+def _outside_level() -> int:
+    """The ``stacklevel`` that makes its caller's warning name the first frame outside."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_globals["__name__"] == __name__:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 @functools.lru_cache(maxsize=1)

@@ -13,6 +13,7 @@ import pytest
 import fdcorr
 from fdcorr.cli import MAX_ORDER, FormulaIdError, formula_from_id, main, parse_formula_id
 from fdcorr.defcor import FAMILIES, catalog
+from fdcorr.stencil import FlattenError
 
 
 def run(capsys, *argv):
@@ -181,6 +182,13 @@ class TestStencil:
         weights = [node["weight"] for node in payload["nodes"]]
         assert weights == ["-1/16", "9/16", "9/16", "-1/16"]
 
+    def test_flatten_error_exits_1(self, capsys, monkeypatch):
+        def failing_flatten(formula):
+            raise FlattenError(f"{formula.label}: moment 5 is off")
+
+        monkeypatch.setattr(fdcorr.cli, "flatten", failing_flatten)
+        assert run(capsys, "stencil", "C4") == (1, "", "fdcorr: error: C4: moment 5 is off\n")
+
     def test_bad_id_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["stencil", "Z9"])
@@ -256,6 +264,11 @@ class TestStudy:
             ("C4,C5", "sin100pi", [], "'C5'"),
             # C4's nodes stay in range at these spacings, B6's reach 6h and overflow
             ("C4,B6", "poly:x^2", ["--h-max", "5e153", "--h-min", "1e153"], "overflows"),
+            ("C4", "sin100pi", ["--h-min", "0.02"], "need 0 < h-min <= h-max"),
+            ("C4", "sin100pi", ["--h-factor", "1"], "h-factor must exceed 1"),
+            ("C4", "sin100pi", ["--h-min", "0.006"], "spacing grid has fewer than 3 points"),
+            (",", "sin100pi", [], "no formula ids given"),
+            ("C4", "poly:", [], "empty polynomial"),
         ],
     )
     def test_bad_input_anywhere_exits_2_before_any_csv(
@@ -266,7 +279,19 @@ class TestStudy:
             main(["study", ids, function, "0", "--csv-dir", str(csv_dir), *flags])
         assert excinfo.value.code == 2
         assert named in capsys.readouterr().err
-        assert not (csv_dir / "C4.csv").exists()
+        assert not csv_dir.exists()
+
+    def test_csv_dir_naming_a_file_exits_2(self, capsys, tmp_path):
+        csv_dir = tmp_path / "D"
+        csv_dir.write_text("")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["study", "C4", "sin100pi", "0", "--csv-dir", str(csv_dir), "--gnuplot"])
+        assert excinfo.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            f"fdcorr: error: cannot write to --csv-dir {str(csv_dir)!r}: File exists\n"
+        )
 
     def test_unknown_function_exits_2(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -360,6 +385,27 @@ class TestVerifyAll:
         assert code == 0
         assert out.splitlines()[-1] == "checked 172 formulas, 0 failed"
         assert elapsed < 10, f"verify-all --max-order 30 took {elapsed:.2f}s"
+
+    def test_weights_off_the_oracle_fail_and_exit_1(self, capsys, monkeypatch):
+        oracle_weights = fdcorr.cli.oracle_weights
+        calls = []
+
+        def first_call_perturbed(offsets, m, order):
+            calls.append(offsets)
+            weights = oracle_weights(offsets, m, order)
+            return [weights[0] + 1, *weights[1:]] if len(calls) == 1 else weights
+
+        monkeypatch.setattr(fdcorr.cli, "oracle_weights", first_call_perturbed)
+        code, out, err = run(capsys, "verify-all", "--max-order", "4")
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[0] == (
+            "FAIL C4: pass: order 4, error constant -3/640; "
+            "weights disagree with the moment-system solution"
+        )
+        assert all(line.startswith("PASS ") for line in lines[1:-1])
+        assert lines[-1] == "checked 16 formulas, 1 failed"
+        assert err == "1 formula(s) failed verification\n"
 
     def test_checking_nothing_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -238,6 +238,7 @@ class TestConvergenceStudy:
         assert [(w.category, str(w.message)) for w in caught] == [
             (RuntimeWarning, "nonfinite sample inf at x = 0.125 (offset 1/2)"),
         ]
+        assert {w.filename for w in caught} == {__file__}
         assert report.abs_errors[-1] == math.inf
         assert report.observed_orders[-1] == -math.inf
         assert math.isnan(report.fitted_order())
