@@ -27,7 +27,6 @@ written in; the row gives the rest of one :func:`general_defcor` call.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .exactmath import Rational, format_rational
@@ -118,7 +117,8 @@ def general_defcor(
     before reaching ``order`` is an error.  The result's
     ``family_coefficients`` maps each word's order to its engine coefficient.
     Its ``family`` and ``label`` are the defaults; a named family's formulas
-    take theirs from the family's :data:`FAMILIES` row.
+    take theirs from the family's :data:`FAMILIES` row.  The residual error
+    series is evaluated only where it is read.
     """
     if m < 0:
         raise ValueError("derivative order m must be nonnegative")
@@ -132,14 +132,25 @@ def general_defcor(
         )
 
     truncation = default_truncation(m, order)
-    residual = dict.fromkeys(range(m + 1, truncation + 1), Fraction(0))
-    residual.update(error_series(base, truncation).coeffs)
+    seed = error_series(base, truncation).coeffs
 
+    # The residual is ``seed - sum_t c_t e_t``, evaluated only where it is
+    # read: a step reads just the first nonzero entry, and the word of
+    # order ``l`` changes no entry at or below ``l`` except ``l`` itself,
+    # which it zeroes, so every entry before the next scan is final.
     applied: list[tuple[Rational, OperatorExpr]] = []
+    corrections: list[tuple[Rational, Mapping[int, Rational]]] = []
     queue = iter(choices)
+    leading = m
     while True:
-        leading = next((i for i in sorted(residual) if residual[i]), None)
-        if leading is None:
+        for leading in range(leading + 1, truncation + 1):
+            residual = seed.get(leading, 0)
+            for coeff, coeffs in corrections:
+                if leading in coeffs:
+                    residual -= coeff * coeffs[leading]
+            if residual:
+                break
+        else:
             raise ValueError(
                 f"error expansion vanishes through truncation {truncation}; "
                 "cannot determine the achieved order"
@@ -158,19 +169,15 @@ def general_defcor(
                 f"word of differentiation order {choice.diff_order} cannot "
                 f"cancel the surviving u^({leading}) term"
             )
-        coeff = residual[leading]
-        correction = error_series(choice, truncation)
-        residual[leading] = Fraction(0)
-        for i, e_i in correction.coeffs.items():
-            residual[i] -= coeff * e_i
-        applied.append((coeff, choice))
+        corrections.append((residual, error_series(choice, truncation).coeffs))
+        applied.append((residual, choice))
 
     return CorrectionFormula(
         m=m,
         base_expr=base,
         terms=tuple(applied),
         order=achieved,
-        error_constant=residual[leading],
+        error_constant=residual,
         family_coefficients={expr.diff_order: coeff for coeff, expr in applied},
     )
 

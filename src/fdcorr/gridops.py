@@ -28,6 +28,7 @@ at the end: no rational arithmetic, and the expansion is exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -109,7 +110,15 @@ def expand(expr: OperatorExpr) -> dict[Rational, Rational]:
     spacing factor is folded into offsets and weights so the result is always
     expressed against the global spacing.  The word's differentiation order
     and anchor stay on the word (``expr.diff_order``, ``expr.base_shift``).
+    Each distinct word is expanded once per process; every call returns a
+    fresh dict, so callers may change it.
     """
+    return dict(_expansion(expr))
+
+
+# 1024 holds every word the named families use up to the order cap (997).
+@functools.lru_cache(maxsize=1024)
+def _expansion(expr: OperatorExpr) -> dict[Rational, Rational]:
     # (E - 1)**n as alternating binomials, then one (E + 1) per average.
     n = expr.diff_order
     weights = [(-1) ** (n - j) * math.comb(n, j) for j in range(n + 1)]

@@ -11,7 +11,8 @@ It approximates to order ``q`` exactly when the moment conditions hold:
 :func:`oracle_weights` solves the moment system directly: it is a
 Vandermonde system, and the Bjorck-Pereyra algorithm (Bjorck & Pereyra 1970,
 Math. Comp. 24; Golub & Van Loan, Alg. 4.6.2) solves it exactly in O(n**2)
-``Fraction`` steps.  It reads only the offsets and ``m``, never the
+steps, as integer sweeps over the offsets scaled onto an integer lattice
+and one common denominator.  It reads only the offsets and ``m``, never the
 correction engine's words, series or coefficients, so it stays the
 independent ground truth every generated stencil is compared against.
 """
@@ -130,11 +131,14 @@ def oracle_weights(
     Solves ``sum_j w_j o_j**r = m! [r == m]`` for ``r = 0 .. len(offsets)-1``,
     a square Vandermonde system with the unique solution for distinct
     offsets, by the Bjorck-Pereyra algorithm (Bjorck & Pereyra 1970, Math.
-    Comp. 24; Golub & Van Loan, Alg. 4.6.2) in O(n**2) exact ``Fraction``
-    steps.  Weights come back in input order.  ``q`` is an optional claimed
-    order used only to check the node count can support it (``m + q`` nodes
-    in general; symmetric node sets earn one parity order, so one fewer
-    suffices).
+    Comp. 24; Golub & Van Loan, Alg. 4.6.2) in O(n**2) steps.  The offsets
+    are scaled onto integers ``a_j = L o_j`` (``L`` the least common
+    denominator), which turns the system into ``sum_j w_j a_j**r =
+    m! L**m [r == m]`` with the same weights; both sweeps then run on
+    integers, the second over one common denominator.  Weights come back in
+    input order.  ``q`` is an optional claimed order used only to check the
+    node count can support it (``m + q`` nodes in general; symmetric node
+    sets earn one parity order, so one fewer suffices).
     """
     x = [Fraction(o) for o in offsets]
     n = len(x)
@@ -147,19 +151,30 @@ def oracle_weights(
             f"{n} nodes cannot support derivative {m} at order {q}"
         )
 
-    w = [Fraction(0)] * n
-    w[m] = Fraction(math.factorial(m))
+    scale = math.lcm(*(o.denominator for o in x))
+    a = [o.numerator * (scale // o.denominator) for o in x]
+    w = [0] * n
+    w[m] = math.factorial(m) * scale**m
     # Two sets of n - 1 bidiagonal sweeps: the first multiplies by nodes ...
     for k in range(n - 1):
         for i in range(n - 1, k, -1):
-            w[i] -= x[k] * w[i - 1]
+            w[i] -= a[k] * w[i - 1]
     # ... the second divides by differences of distinct nodes, never zero.
+    # Entry i stands for w[i] / den; dividing entries k+1.. by their
+    # differences d_i means multiplying den by g = lcm(d_i), the divided
+    # entries by g // d_i and the others by g.
+    den = 1
     for k in range(n - 2, -1, -1):
-        for i in range(k + 1, n):
-            w[i] /= x[i] - x[i - k - 1]
+        d = [a[i] - a[i - k - 1] for i in range(k + 1, n)]
+        g = math.lcm(*d)
+        den *= g
+        for i in range(k + 1):
+            w[i] *= g
+        for i, d_i in enumerate(d, k + 1):
+            w[i] *= g // d_i
         for i in range(k, n - 1):
             w[i] -= w[i + 1]
-    return w
+    return [Fraction(v, den) for v in w]
 
 
 @dataclass(frozen=True)

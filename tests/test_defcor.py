@@ -249,6 +249,11 @@ class TestGeneralEngine:
         with pytest.raises(ValueError, match="ran out"):
             general_defcor(1, 4, [word(fwd=2)], base=word(fwd=1))
 
+    def test_residual_vanishing_through_truncation_rejected(self):
+        # the identity word has no error terms at all
+        with pytest.raises(ValueError, match="vanishes through truncation 6"):
+            general_defcor(0, 2, [], base=word())
+
     def test_seed_order_must_match_m(self):
         with pytest.raises(ValueError, match="seed"):
             general_defcor(2, 2, [], base=word(fwd=1))

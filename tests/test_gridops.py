@@ -141,6 +141,11 @@ class TestExpand:
         assert sum(expand(word(cent=1)).values()) == 0
         assert sum(expand(word(avg=1)).values()) == 1
 
+    def test_each_call_returns_a_fresh_dict(self):
+        expand(word(fwd=2)).clear()
+        assert expand(word(fwd=2)) == {0: 1, 1: -2, 2: 1}
+        assert expand(word(fwd=2)) is not expand(word(fwd=2))
+
     def test_spacing_factor_folds_into_global_units(self):
         assert expand(word(cent=1, spacing=3)) == {
             Fraction(3, 2): Fraction(1, 3),

@@ -129,6 +129,55 @@ class TestOracle:
                 assert residual == (math.factorial(m) if r == m else 0)
 
 
+    @given(
+        st.lists(
+            st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 5, 7])),
+            min_size=1,
+            max_size=12,
+            unique=True,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_fraction_sweeps(self, offsets):
+        # unsorted, mixed denominators and negative differences
+        for m in range(len(offsets)):
+            assert oracle_weights(offsets, m) == fraction_bjorck_pereyra(offsets, m)
+
+    @pytest.mark.parametrize(
+        "offsets",
+        [range(201), [Fraction(2 * i + 1, 2) for i in range(-100, 100)]],
+        ids=["F200", "C200"],
+    )
+    def test_matches_the_fraction_sweeps_on_wide_node_sets(self, offsets):
+        assert oracle_weights(offsets, 1) == fraction_bjorck_pereyra(offsets, 1)
+
+    @pytest.mark.parametrize(
+        "offsets, m",
+        [([-1, 0, 1], 1), (["-1/2", "1/3", "2"], 2), ([0], 0), (["5/3"], 0)],
+    )
+    def test_every_weight_is_a_fraction(self, offsets, m):
+        weights = oracle_weights(offsets, m)
+        assert len(weights) == len(offsets)
+        assert all(type(w) is Fraction for w in weights)
+
+
+def fraction_bjorck_pereyra(offsets, m):
+    """Reference: the Bjorck-Pereyra sweeps in plain ``Fraction`` steps."""
+    x = [Fraction(o) for o in offsets]
+    n = len(x)
+    w = [Fraction(0)] * n
+    w[m] = Fraction(math.factorial(m))
+    for k in range(n - 1):
+        for i in range(n - 1, k, -1):
+            w[i] -= x[k] * w[i - 1]
+    for k in range(n - 2, -1, -1):
+        for i in range(k + 1, n):
+            w[i] /= x[i] - x[i - k - 1]
+        for i in range(k, n - 1):
+            w[i] -= w[i + 1]
+    return w
+
+
 def lagrange_weights(offsets, m):
     """Reference: ``m! [t^m] l_j(t)`` for each Lagrange basis polynomial."""
     weights = []
