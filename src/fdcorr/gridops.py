@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .exactmath import Rational, RationalLike, format_rational
+from .exactmath import Rational, RationalLike, format_rational, node_sum
 
 __all__ = [
     "OperatorExpr",
@@ -198,18 +198,13 @@ class GridFunction:
 def apply(expr: OperatorExpr, u: GridFunction, at: RationalLike, k):
     """Evaluate a word on grid samples at index ``at``.
 
-    Exact when samples and ``k`` are rational; nodes are visited in ascending
+    The same node sum as :func:`fdcorr.numdiff.apply_stencil`'s exact path:
+    exact when samples and ``k`` are rational; nodes are visited in ascending
     offset order so float evaluations are reproducible too.
     """
     base = Fraction(at) + expr.base_shift
-    total = None
-    for offset, weight in sorted(expand(expr).items()):
-        term = weight * u.value(base + offset)
-        total = term if total is None else total + term
-    if total is None:
-        total = Fraction(0)
-    order = expr.diff_order
-    return total / k**order if order else total
+    nodes = sorted(expand(expr).items())
+    return node_sum(nodes, lambda offset: u.value(base + offset), k, expr.diff_order)
 
 
 def product_rule_check(
@@ -236,28 +231,18 @@ def product_rule_check(
     if m < 1:
         raise ValueError("product_rule_check: m must be positive")
     base = Fraction(n)
-    composite = word(fwd=m, bwd=m)
-    span = expand(composite)
-    product = GridFunction(
-        {base + o: f.value(base + o) * g.value(base + o) for o in span}
-    )
-    lhs = apply(composite, product, base, k)
+    nodes = sorted(expand(word(fwd=m, bwd=m)).items())
+    lhs = node_sum(nodes, lambda o: f.value(base + o) * g.value(base + o), k, 2 * m)
     factorial_m = math.factorial(m)
-    rhs = None
+    rhs = 0
     for i1 in range(m + 1):
         for i2 in range(m + 1 - i1):
             for i3 in range(m + 1 - i1 - i2):
                 for i4 in range(m + 1 - i1 - i2 - i3):
                     i5 = m - i1 - i2 - i3 - i4
-                    weight = factorial_m // (
-                        math.factorial(i1)
-                        * math.factorial(i2)
-                        * math.factorial(i3)
-                        * math.factorial(i4)
-                        * math.factorial(i5)
-                    )
+                    split = (i1, i2, i3, i4, i5)
+                    weight = factorial_m // math.prod(map(math.factorial, split))
                     left = apply(word(fwd=i1 + i3 + i5, bwd=i1 + i4 + i5), f, base, k)
                     right = apply(word(fwd=i2 + i4 + i5, bwd=i2 + i3 + i5), g, base, k)
-                    term = weight * k ** (2 * i5) * left * right
-                    rhs = term if rhs is None else rhs + term
+                    rhs += weight * k ** (2 * i5) * left * right
     return lhs, rhs

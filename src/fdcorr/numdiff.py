@@ -2,7 +2,8 @@
 
 One evaluator, :func:`apply_stencil`, takes its arithmetic from its inputs.
 With an int or rational point and spacing every step is exact, which is how
-polynomial exactness is asserted without any float tolerance.  In floats it
+polynomial exactness is asserted without any float tolerance; that path is
+``exactmath.node_sum``, the node sum ``gridops.apply`` uses too.  In floats it
 is a column sum over a batch of stencils: each distinct node offset ``o`` is
 sampled once per spacing, ``f(x0 + o*h)``, and ``w * sample`` is added into
 every stencil of the batch with that node.  :func:`apply_stencil` is a batch
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .exactmath import Rational
+from .exactmath import Rational, node_sum
 from .stencil import Stencil
 
 __all__ = [
@@ -42,20 +43,23 @@ def apply_stencil(s: Stencil, f: Callable, x0: float | Rational, h: float | Rati
     offsets and weights the stencil converted to float on its first float
     evaluation, and the result is a float; nonfinite samples propagate into
     it, and a warning names the node's exact offset so the source is
-    diagnosable.  If both are ints or rationals, every step is exact and so
-    is the result for an exact ``f``.
+    diagnosable; a nonfinite ``x0`` or ``h`` raises before any sample.  If
+    both are ints or rationals, the shared node sum ``exactmath.node_sum``
+    runs in exact steps, and the result is exact for an exact ``f``.
     """
     if h <= 0:
         raise ValueError("spacing h must be positive")
     if not (isinstance(x0, float) or isinstance(h, float)):
-        x = Fraction(x0)
-        step = Fraction(h)
-        total = Fraction(0)
-        for offset, weight in zip(s.offsets, s.weights):
-            total += weight * f(x + offset * step)
-        return total / step**s.m
-    h = float(h)
-    return _column_sums([s], f, float(x0), (h,))[0][0] / h**s.m
+        x, step = Fraction(x0), Fraction(h)
+        return node_sum(s.nodes(), lambda offset: f(x + offset * step), step, s.m)
+    x0, h = _finite("x0", x0), _finite("spacing h", h)
+    return _column_sums([s], f, x0, (h,))[0][0] / h**s.m
+
+
+def _finite(name: str, value) -> float:
+    if not math.isfinite(value := float(value)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def _column_sums(stencils, f: Callable, x0: float, spacings) -> list[list[float]]:
@@ -117,9 +121,9 @@ class ConvergenceReport:
         order collapses below 1 (errors rising, or shrinking slower than the
         spacing) or an error hits exact zero.  A grid that never shows that
         signal sits entirely above the plateau and every point counts;
-        otherwise the window stops at the signal (never past the detected
-        floor) and entries within 50x of the smallest positive error are
-        dropped as plateau-contaminated.
+        otherwise the window stops at the signal, which never comes after
+        ``roundoff_floor_index``, and entries within 50x of the smallest
+        positive error are dropped as plateau-contaminated.
         """
         positive = [e for e in self.abs_errors if e > 0.0]
         if not positive:
@@ -132,9 +136,8 @@ class ConvergenceReport:
                 break
         if plateau_start == n:
             return list(range(n))
-        stop = min(plateau_start, self.roundoff_floor_index)
         guard = 50.0 * min(positive)
-        return [i for i in range(stop) if self.abs_errors[i] >= guard]
+        return [i for i in range(plateau_start) if self.abs_errors[i] >= guard]
 
     def fitted_order(self) -> float:
         """Least-squares slope of log error against log spacing, pre-floor."""
@@ -170,8 +173,9 @@ def convergence_studies(
 ) -> Iterator[ConvergenceReport]:
     """One report per ``(formula_id, stencil)`` pair of ``named``, in order.
 
-    ``h_list`` must be positive and strictly decreasing with at least three
-    entries, so pairwise orders and the floor heuristic are meaningful.  The
+    ``h_list`` must be finite, positive and strictly decreasing with at least
+    three entries, so pairwise orders and the floor heuristic are meaningful,
+    and ``x0`` finite; both are checked before any sample is taken.  The
     call samples each distinct node offset of the batch once per spacing;
     the iterator it returns builds each report only when asked, so a caller
     that writes and drops each one holds one at a time.  The reports share
@@ -184,8 +188,10 @@ def convergence_studies(
         raise ValueError("spacings must be strictly decreasing")
     if any(h <= 0 for h in spacings):
         raise ValueError("spacing h must be positive")
+    for h in spacings:
+        _finite("spacing h", h)
     named = list(named)
-    totals = _column_sums([s for _, s in named], f, float(x0), spacings)
+    totals = _column_sums([s for _, s in named], f, _finite("x0", x0), spacings)
     log_steps = [math.log(a / b) for a, b in zip(spacings, spacings[1:])]
     return (
         _report(formula_id, s.m, total, df_true, spacings, log_steps)

@@ -8,13 +8,11 @@ It approximates to order ``q`` exactly when the moment conditions hold:
 ``sum_j w_j o_j**r`` is ``m!`` at ``r == m`` and zero for every other
 ``r < m + q``; the error constant is ``(1/(m+q)!) * sum_j w_j o_j**(m+q)``.
 
-:func:`oracle_weights` solves the moment system directly: it is a
-Vandermonde system, and the Bjorck-Pereyra algorithm (Bjorck & Pereyra 1970,
-Math. Comp. 24; Golub & Van Loan, Alg. 4.6.2) solves it exactly in O(n**2)
-steps, as integer sweeps over the offsets scaled onto an integer lattice
-and one common denominator.  It reads only the offsets and ``m``, never the
-correction engine's words, series or coefficients, so it stays the
-independent ground truth every generated stencil is compared against.
+:func:`oracle_weights` solves the moment system directly, by differentiating
+the Lagrange interpolant on integer-scaled offsets (Fornberg 1988, Math.
+Comp. 51).  It reads only the offsets and ``m``, never the correction
+engine's words, series or coefficients, so it stays the independent ground
+truth every generated stencil is compared against.
 """
 
 from __future__ import annotations
@@ -129,16 +127,15 @@ def oracle_weights(
     """Weights from the exact moment system, independent of any generator.
 
     Solves ``sum_j w_j o_j**r = m! [r == m]`` for ``r = 0 .. len(offsets)-1``,
-    a square Vandermonde system with the unique solution for distinct
-    offsets, by the Bjorck-Pereyra algorithm (Bjorck & Pereyra 1970, Math.
-    Comp. 24; Golub & Van Loan, Alg. 4.6.2) in O(n**2) steps.  The offsets
-    are scaled onto integers ``a_j = L o_j`` (``L`` the least common
-    denominator), which turns the system into ``sum_j w_j a_j**r =
-    m! L**m [r == m]`` with the same weights; both sweeps then run on
-    integers, the second over one common denominator.  Weights come back in
-    input order.  ``q`` is an optional claimed order used only to check the
-    node count can support it (``m + q`` nodes in general; symmetric node
-    sets earn one parity order, so one fewer suffices).
+    whose unique solution for distinct offsets is ``w_j = m! [t**m] l_j(t)``
+    for the Lagrange basis polynomials ``l_j`` (Fornberg 1988, Math. Comp.
+    51).  On integers ``a_j = L o_j`` (``L`` the least common denominator),
+    with ``P(t) = prod_i (t - a_i)`` and ``Q_j = P / (t - a_j)``, that is
+    ``w_j = m! L**m [t**m] Q_j / Q_j(a_j)``: one integer product, then one
+    synthetic division and Horner evaluation per node, O(n**2) steps.
+    Weights come back in input order.  ``q`` is an optional claimed order
+    used only to check the node count can support it (``m + q`` nodes in
+    general; symmetric node sets earn one parity order, so one fewer).
     """
     x = [Fraction(o) for o in offsets]
     n = len(x)
@@ -153,28 +150,19 @@ def oracle_weights(
 
     scale = math.lcm(*(o.denominator for o in x))
     a = [o.numerator * (scale // o.denominator) for o in x]
-    w = [0] * n
-    w[m] = math.factorial(m) * scale**m
-    # Two sets of n - 1 bidiagonal sweeps: the first multiplies by nodes ...
-    for k in range(n - 1):
-        for i in range(n - 1, k, -1):
-            w[i] -= a[k] * w[i - 1]
-    # ... the second divides by differences of distinct nodes, never zero.
-    # Entry i stands for w[i] / den; dividing entries k+1.. by their
-    # differences d_i means multiplying den by g = lcm(d_i), the divided
-    # entries by g // d_i and the others by g.
-    den = 1
-    for k in range(n - 2, -1, -1):
-        d = [a[i] - a[i - k - 1] for i in range(k + 1, n)]
-        g = math.lcm(*d)
-        den *= g
-        for i in range(k + 1):
-            w[i] *= g
-        for i, d_i in enumerate(d, k + 1):
-            w[i] *= g // d_i
-        for i in range(k, n - 1):
-            w[i] -= w[i + 1]
-    return [Fraction(v, den) for v in w]
+    product = [1]  # P's coefficients, highest power first
+    for a_i in a:
+        product = [hi - a_i * lo for hi, lo in zip(product + [0], [0] + product)]
+    numerator, weights = math.factorial(m) * scale**m, []
+    for a_j in a:
+        # Synthetic division gives Q_j top coefficient first; Horner, Q_j(a_j).
+        quotient, carry, value = [], 0, 0
+        for c in product[:-1]:
+            carry = c + a_j * carry
+            value = value * a_j + carry
+            quotient.append(carry)
+        weights.append(Fraction(numerator * quotient[n - 1 - m], value))
+    return weights
 
 
 @dataclass(frozen=True)

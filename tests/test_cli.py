@@ -407,6 +407,23 @@ class TestVerifyAll:
         assert lines[-1] == "checked 16 formulas, 1 failed"
         assert err == "1 formula(s) failed verification\n"
 
+    def test_flatten_error_fails_one_formula_and_goes_on(self, capsys, monkeypatch):
+        flatten = fdcorr.cli.flatten
+
+        def failing_for_c6(formula):
+            if formula.label == "C6":
+                raise FlattenError("moment 5 is off")
+            return flatten(formula)
+
+        monkeypatch.setattr(fdcorr.cli, "flatten", failing_for_c6)
+        code, out, err = run(capsys, "verify-all", "--max-order", "6")
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[4:6] == ["FAIL C6: moment 5 is off", "PASS CA6: pass: order 6, error constant 5/1024"]
+        assert [line.split()[0] for line in lines[:-1]].count("PASS") == 27
+        assert lines[-1] == "checked 28 formulas, 1 failed"
+        assert err == "1 formula(s) failed verification\n"
+
     def test_checking_nothing_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify-all", "--max-order", "1"])

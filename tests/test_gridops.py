@@ -238,6 +238,28 @@ class TestApply:
         bwd_then_fwd = nested_apply(word(fwd=1), after_bwd, 0, 1)
         assert fwd_then_bwd == bwd_then_fwd
 
+    @pytest.mark.parametrize("k", [Fraction(1, 2), 0.5])
+    def test_order_zero_sum_of_exact_samples_stays_exact(self, k):
+        # no division by k**0, so a float k leaves the sum a Fraction
+        u = GridFunction({-HALF: Fraction(1, 3), HALF: Fraction(2, 3)})
+        value = apply(word(avg=1), u, 0, k)
+        assert type(value) is Fraction and value == HALF
+
+    @given(
+        words_to_order_six(),
+        st.lists(st.floats(-1e6, 1e6), min_size=33, max_size=33),
+        st.sampled_from([0, HALF, 3]),
+        st.floats(1e-3, 10.0),
+    )
+    @settings(max_examples=100)
+    def test_float_samples_match_the_ascending_float_sum(self, expr, values, at, k):
+        u = grid_samples(values)
+        total = 0.0
+        for offset, weight in sorted(expand(expr).items()):
+            total += float(weight) * u.value(at + expr.base_shift + offset)
+        expected = total / k**expr.diff_order if expr.diff_order else total
+        assert repr(apply(expr, u, at, k)) == repr(expected)
+
     def test_missing_sample_error_names_index(self):
         u = GridFunction({0: 1, 1: 2})
         with pytest.raises(GridRangeError, match="5/2"):
@@ -294,5 +316,5 @@ class TestProductRules:
 
     def test_insufficient_span_raises(self):
         narrow = GridFunction({0: Fraction(1), 1: Fraction(2)})
-        with pytest.raises(GridRangeError):
+        with pytest.raises(GridRangeError, match="no sample at grid index -1$"):
             product_rule_check(1, narrow, narrow, 0, 1)

@@ -23,9 +23,11 @@ from fdcorr import (
     standard_backward,
     standard_forward,
 )
+from fdcorr import numdiff
 from fdcorr.cli import formula_from_id
 
 C4 = flatten(centered_formula(1))
+B6 = flatten(standard_backward(6))
 SECOND = flatten(general_defcor(2, 2, []))
 # classical integer-offset central difference, built from the moment solver
 CENTRAL = Stencil(
@@ -61,6 +63,28 @@ class TestApplyStencil:
             (RuntimeWarning, "nonfinite sample inf at x = 0.75 (offset 3/2)"),
         ]
         assert {w.filename for w in caught} == {__file__}
+
+    @pytest.mark.parametrize(
+        "x0, h, message",
+        [
+            (0.3, math.nan, "spacing h must be finite, got nan"),
+            (0.3, math.inf, "spacing h must be finite, got inf"),
+            (Fraction(1, 3), math.nan, "spacing h must be finite, got nan"),
+            (math.nan, 0.1, "x0 must be finite, got nan"),
+            (-math.inf, Fraction(1, 8), "x0 must be finite, got -inf"),
+            (0.3, -math.inf, "spacing h must be positive"),
+        ],
+    )
+    def test_nonfinite_point_or_spacing_raises_before_sampling(self, x0, h, message):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.sin(x)
+
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            apply_stencil(C4, f, x0, h)
+        assert calls == []
 
     def test_determinism(self):
         st = flatten(standard_backward(6))
@@ -120,6 +144,12 @@ class TestApplyStencilExact:
         value = apply_stencil(C4, lambda t: t**3, x0, h)
         assert type(value) is Fraction
         assert value == 3 * Fraction(x0) ** 2
+
+    def test_order_zero_stencil_with_exact_inputs_gives_a_fraction(self):
+        st = flatten(formula_from_id("CA4"))
+        assert st.m == 0
+        value = apply_stencil(st, lambda t: t**3, Fraction(1, 3), Fraction(1, 10))
+        assert type(value) is Fraction and value == Fraction(1, 27)
 
     def test_exact_samples_beyond_float_range_do_not_warn(self):
         big = Fraction(10**400)
@@ -196,6 +226,29 @@ class TestConvergenceStudy:
             convergence_study(C4, f, 1.0, 0.0, [0.1, 0.1, 0.05])
         with pytest.raises(ValueError, match="spacing h must be positive"):
             convergence_study(C4, f, 1.0, 0.0, [0.1, 0.0, -0.1])
+
+    @pytest.mark.parametrize(
+        "x0, spacings, message",
+        [
+            (0.0, [1e-2, math.nan, 1e-3, 1e-4], "spacing h must be finite, got nan"),
+            (0.0, [math.inf, 1e-2, 1e-3], "spacing h must be finite, got inf"),
+            (math.nan, [1e-2, 1e-3, 1e-4], "x0 must be finite, got nan"),
+            (math.inf, [1e-2, 1e-3, 1e-4], "x0 must be finite, got inf"),
+            (0.0, [1e-2, 1e-3, -math.inf], "spacing h must be positive"),
+        ],
+    )
+    def test_nonfinite_point_or_spacing_raises_before_sampling(self, x0, spacings, message):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.sin(x)
+
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            convergence_studies([("C4", C4), ("B6", B6)], f, 1.0, x0, spacings)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            convergence_study(C4, f, 1.0, x0, spacings)
+        assert calls == []
 
     def test_sixth_order_backward_on_oscillatory_function(self):
         st = flatten(standard_backward(6))
@@ -284,6 +337,43 @@ class TestConvergenceStudy:
         grid = [0.4, 0.2, 0.1]
         report = convergence_study(st, math.sin, 1.0, 0.0, grid)
         assert report.fit_window() == [0, 1, 2]
+
+    @given(
+        totals=hs.lists(
+            hs.one_of(
+                hs.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                hs.sampled_from([0.0, math.inf, math.nan]),
+            ),
+            min_size=3,
+            max_size=12,
+        ),
+        ratio=hs.floats(1.001, 16.0),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_fit_window_never_runs_past_the_roundoff_floor(self, totals, ratio):
+        # built as a study builds it: m = 0 and df_true = 0.0 make the errors the totals
+        spacings = tuple(ratio**-i for i in range(len(totals)))
+        log_steps = [math.log(a / b) for a, b in zip(spacings, spacings[1:])]
+        report = numdiff._report("x", 0, totals, 0.0, spacings, log_steps)
+        assert report.fit_window() == fit_window_stopped_at_the_floor(report)
+
+
+def fit_window_stopped_at_the_floor(report):
+    """``fit_window`` with an explicit stop at ``min(plateau_start, roundoff_floor_index)``."""
+    positive = [e for e in report.abs_errors if e > 0.0]
+    if not positive:
+        return []
+    n = len(report.abs_errors)
+    plateau_start = n
+    for i in range(1, n):
+        if report.abs_errors[i] == 0.0 or not report.observed_orders[i - 1] >= 1.0:
+            plateau_start = i
+            break
+    if plateau_start == n:
+        return list(range(n))
+    stop = min(plateau_start, report.roundoff_floor_index)
+    guard = 50.0 * min(positive)
+    return [i for i in range(stop) if report.abs_errors[i] >= guard]
 
 
 # the ``study`` benchmark's 48 ids: every id of order <= 10
