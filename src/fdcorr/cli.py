@@ -37,6 +37,8 @@ __all__ = ["main", "console_main", "parse_formula_id", "formula_from_id"]
 _MAX_SPACINGS = 100_000
 # Highest accuracy order any command builds (order 200 takes seconds).
 MAX_ORDER = 200
+# The sine study functions, ``sin(omega x)``, by name.
+_SINES = {"sin100pi": 100.0 * math.pi, "sin1000pi": 1000.0 * math.pi}
 
 
 class FormulaIdError(ValueError):
@@ -54,33 +56,39 @@ def _check_param(family: Family, p: int, context: str) -> None:
     _check_order(family.order(p), context)
 
 
+def _number(digits: str, context: str) -> int:
+    # ``int`` refuses more than 4300 digits; every such number is far above the cap.
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > 4300:
+        raise FormulaIdError(
+            f"{context}: order of more than 4300 digits is above the cap {MAX_ORDER}"
+        )
+    return int(digits)
+
+
 def parse_formula_id(formula_id: str) -> tuple[str, int]:
     """Parse an id to ``(family, p)`` where ``p`` is the family parameter."""
     text = formula_id.strip()
-    long_form = re.fullmatch(r"([a-z-]+):p=(\d+)", text, re.IGNORECASE)
-    if long_form:
+    if long_form := re.fullmatch(r"([a-z-]+):p=(\d+)", text, re.IGNORECASE):
         family = family_named(long_form.group(1))
         if family is None:
             raise FormulaIdError(f"unknown family in {formula_id!r}")
-        p = int(long_form.group(2))
-        _check_param(family, p, repr(formula_id))
-        return family.name, p
-    short = re.fullmatch(r"([A-Za-z]+)(\d+)", text)
-    if short:
-        prefix = short.group(1).upper()
-        family = next((f for f in FAMILIES if f.prefix == prefix), None)
+        p = _number(long_form.group(2), repr(formula_id))
+    elif short := re.fullmatch(r"([A-Za-z]+)(\d+)", text):
+        family = next((f for f in FAMILIES if f.prefix == short.group(1).upper()), None)
         if family is None:
             raise FormulaIdError(f"unknown family prefix in {formula_id!r}")
-        p = family.param(int(short.group(2)))
+        p = family.param(_number(short.group(2), repr(formula_id)))
         if p is None:
             orders = "even orders" if family.centered else "orders"
             lowest = family.order(family.min_p)
             raise FormulaIdError(
                 f"{formula_id!r}: {family.name} formulas exist at {orders} >= {lowest}"
             )
-        _check_order(family.order(p), repr(formula_id))
-        return family.name, p
-    raise FormulaIdError(f"cannot parse formula id {formula_id!r}")
+    else:
+        raise FormulaIdError(f"cannot parse formula id {formula_id!r}")
+    _check_param(family, p, repr(formula_id))
+    return family.name, p
 
 
 def formula_from_id(formula_id: str) -> CorrectionFormula:
@@ -176,7 +184,8 @@ def _parse_polynomial(text: str) -> dict[int, float]:
     body = text.replace(" ", "").replace("**", "^").replace("*", "")
     if not body:
         raise FormulaIdError("empty polynomial")
-    terms = re.findall(r"[+-]?[^+-]+", body)
+    # Split before each sign but a leading one: a stray sign is a term that fails.
+    terms = re.split(r"(?<=.)(?=[+-])", body)
     poly: dict[int, float] = {}
     for term in terms:
         match = re.fullmatch(r"([+-]?)(\d+(?:\.\d+)?|\d+/\d+)?(x(?:\^(\d+))?)?", term)
@@ -212,26 +221,15 @@ def _polynomial(name: str, poly: Mapping[int, float]) -> Callable[[float], float
 
 def _resolve_function(name: str) -> tuple[Callable[[float], float], Callable[[float], float]]:
     """Return (u, u') for a study function id."""
-    if name == "sin100pi":
-        omega = 100.0 * math.pi
-    elif name == "sin1000pi":
-        omega = 1000.0 * math.pi
-    elif name.startswith("poly:"):
+    if name.startswith("poly:"):
         poly = _parse_polynomial(name[len("poly:") :])
         derivative = {d - 1: c * d for d, c in poly.items() if d}
         return _polynomial(name, poly), _polynomial(name, derivative)
-    else:
+    if (omega := _SINES.get(name)) is None:
         raise FormulaIdError(
-            f"unknown function id {name!r} (expected sin100pi, sin1000pi, or poly:...)"
+            f"unknown function id {name!r} (expected {', '.join(_SINES)}, or poly:...)"
         )
-
-    def u(x: float) -> float:
-        return math.sin(omega * x)
-
-    def du(x: float) -> float:
-        return omega * math.cos(omega * x)
-
-    return u, du
+    return (lambda x: math.sin(omega * x)), (lambda x: omega * math.cos(omega * x))
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -379,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     study = sub.add_parser("study", help="convergence study on a decreasing h grid")
     study.add_argument("formula_ids", help="comma-separated formula ids")
-    study.add_argument("function", help="sin100pi | sin1000pi | poly:<expr>")
+    study.add_argument("function", help=" | ".join([*_SINES, "poly:<expr>"]))
     study.add_argument("x0", type=float, help="evaluation point")
     study.add_argument("--csv-dir", default=".", help="directory for CSV output")
     study.add_argument("--h-max", type=float, default=0.01, help="largest spacing")

@@ -138,14 +138,13 @@ def general_defcor(
     # read: a step reads just the first nonzero entry, and the word of
     # order ``l`` changes no entry at or below ``l`` except ``l`` itself,
     # which it zeroes, so every entry before the next scan is final.
-    applied: list[tuple[Rational, OperatorExpr]] = []
-    corrections: list[tuple[Rational, Mapping[int, Rational]]] = []
+    corrections: list[tuple[Rational, OperatorExpr, Mapping[int, Rational]]] = []
     queue = iter(choices)
     leading = m
     while True:
         for leading in range(leading + 1, truncation + 1):
             residual = seed.get(leading, 0)
-            for coeff, coeffs in corrections:
+            for coeff, _, coeffs in corrections:
                 if leading in coeffs:
                     residual -= coeff * coeffs[leading]
             if residual:
@@ -169,16 +168,15 @@ def general_defcor(
                 f"word of differentiation order {choice.diff_order} cannot "
                 f"cancel the surviving u^({leading}) term"
             )
-        corrections.append((residual, error_series(choice, truncation).coeffs))
-        applied.append((residual, choice))
+        corrections.append((residual, choice, error_series(choice, truncation).coeffs))
 
     return CorrectionFormula(
         m=m,
         base_expr=base,
-        terms=tuple(applied),
+        terms=tuple((coeff, expr) for coeff, expr, _ in corrections),
         order=achieved,
         error_constant=residual,
-        family_coefficients={expr.diff_order: coeff for coeff, expr in applied},
+        family_coefficients={expr.diff_order: coeff for coeff, expr, _ in corrections},
     )
 
 
@@ -195,7 +193,7 @@ def _generate(
     if p < row.min_p:
         raise ValueError(f"p must be at least {row.min_p}")
     order = row.order(p)
-    owner = family_named(name.removesuffix("-value"))
+    owner = _owner(row)
     label = f"{owner.prefix}{order}" + ("" if owner is row else "-value")
     formula = general_defcor(seed.diff_order, order, words, base=seed)
     coeffs = {i: scale * c for i, c in formula.family_coefficients.items()}
@@ -311,10 +309,8 @@ class Family:
     of ``family_coefficients``; its ``p`` guard, order, family name and label
     come from this row.  ``build(p)`` calls the generator and returns every
     formula that one call yields; the first is the family's own formula.
-    ``listed`` is false for a family whose formulas another entry's ``build``
-    already yields, so :func:`catalog` builds each formula once.  The formulas
-    of a ``<family>-value`` row belong to ``<family>``: they carry its name
-    and the label ``<prefix><order>-value``.
+    A ``<family>-value`` row's formulas, which ``<family>`` builds too, carry
+    its name and label ``<prefix><order>-value``, and :func:`catalog` skips it.
     """
 
     name: str
@@ -323,7 +319,6 @@ class Family:
     centered: bool
     min_p: int
     build: Callable[[int], tuple[CorrectionFormula, ...]]
-    listed: bool = True
 
     def order(self, p: int) -> int:
         return 2 * p + 2 if self.centered else p
@@ -346,7 +341,7 @@ FAMILIES: tuple[Family, ...] = (
     Family("interior-centered", "IC", ("ic", "interior"), True, 1,
            lambda p: interior_centered(p)),
     Family("interior-centered-value", None, (), True, 1,
-           lambda p: interior_centered(p)[1:], listed=False),
+           lambda p: interior_centered(p)[1:]),
     Family("forward-centered", "FC", ("fc",), False, 2,
            lambda p: (forward_centered(p),)),
     Family("backward-centered", "BC", ("bc",), False, 2,
@@ -367,14 +362,18 @@ def family_named(name: str) -> Family | None:
     return next((f for f in FAMILIES if key == f.name or key in f.aliases), None)
 
 
+def _owner(row: Family) -> Family:
+    return family_named(row.name.removesuffix("-value"))
+
+
 def catalog(max_order: int) -> Iterator[CorrectionFormula]:
-    """Every listed family's formulas up to accuracy order ``max_order``.
+    """Every family's formulas up to accuracy order ``max_order``, each once.
 
     Centered families come first, then the one-sided ones; within each group
     the parameter runs outermost and the families follow table order.
     """
     for centered in (True, False):
-        group = [f for f in FAMILIES if f.listed and f.centered is centered]
+        group = [f for f in FAMILIES if _owner(f) is f and f.centered is centered]
         for p in range(1, max_order + 1):
             for family in group:
                 if p >= family.min_p and family.order(p) <= max_order:

@@ -175,11 +175,11 @@ def convergence_studies(
 
     ``h_list`` must be finite, positive and strictly decreasing with at least
     three entries, so pairwise orders and the floor heuristic are meaningful,
-    and ``x0`` finite; both are checked before any sample is taken.  The
-    call samples each distinct node offset of the batch once per spacing;
-    the iterator it returns builds each report only when asked, so a caller
-    that writes and drops each one holds one at a time.  The reports share
-    one ``spacings`` tuple, and a repeated pair gives a repeated report.
+    and ``x0`` and ``df_true`` finite; all are checked before any sample is
+    taken.  The call samples each distinct node offset of the batch once per
+    spacing; the iterator it returns builds each report only when asked, so a
+    caller that writes and drops each one holds one at a time.  The reports
+    share one ``spacings`` tuple, and a repeated pair gives a repeated report.
     """
     spacings = tuple(float(h) for h in h_list)
     if len(spacings) < 3:
@@ -190,6 +190,7 @@ def convergence_studies(
         raise ValueError("spacing h must be positive")
     for h in spacings:
         _finite("spacing h", h)
+    _finite("df_true", df_true)
     named = list(named)
     totals = _column_sums([s for _, s in named], f, _finite("x0", x0), spacings)
     log_steps = [math.log(a / b) for a, b in zip(spacings, spacings[1:])]

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import fdcorr
-from fdcorr.cli import MAX_ORDER, FormulaIdError, formula_from_id, main, parse_formula_id
+from fdcorr.cli import (
+    MAX_ORDER, FormulaIdError, _parse_polynomial, formula_from_id, main, parse_formula_id
+)
 from fdcorr.defcor import FAMILIES, catalog
 from fdcorr.stencil import FlattenError
 
@@ -49,6 +52,8 @@ class TestFormulaIds:
             ("centered:p=3", ("centered", 3)),
             ("standard-backward:p=6", ("standard-backward", 6)),
             ("ic:p=4", ("interior-centered", 4)),
+            # more leading zeros than ``int`` takes in one string
+            pytest.param("C" + "0" * 5000 + "8", ("centered", 3), id="C0x5000-8"),
         ],
     )
     def test_valid_ids(self, formula_id, expected):
@@ -71,6 +76,18 @@ class TestFormulaIds:
     def test_order_above_cap_exits_2(self, capsys, monkeypatch, formula_id):
         err = exits_2_before_generating(capsys, monkeypatch, "stencil", formula_id)
         assert f"above the cap {MAX_ORDER}" in err
+
+    # ``int`` refuses a string of more than 4300 digits
+    @pytest.mark.parametrize(
+        "formula_id", ["C" + "9" * 4301, "centered:p=" + "9" * 5000], ids=["C9x4301", "p9x5000"]
+    )
+    def test_number_too_long_for_int_exits_2_with_the_cap(
+        self, capsys, monkeypatch, formula_id
+    ):
+        err = exits_2_before_generating(capsys, monkeypatch, "stencil", formula_id)
+        assert err.endswith(
+            f": order of more than 4300 digits is above the cap {MAX_ORDER}\n"
+        )
 
 
 class TestFamilies:
@@ -302,6 +319,51 @@ class TestStudy:
         with pytest.raises(SystemExit) as excinfo:
             main(["study", "B6", "poly:x^^3", "0", "--csv-dir", str(tmp_path)])
         assert excinfo.value.code == 2
+        # a sign the terms do not cover is a term of its own, and fails
+        for body, term in [("--x", "-"), ("x^2-", "-"), ("x+-2", "+"), ("+", "+"), ("-", "-")]:
+            with pytest.raises(SystemExit) as excinfo:
+                main(["study", "C4", f"poly:{body}", "0", "--csv-dir", str(tmp_path)])
+            assert excinfo.value.code == 2
+            assert f"cannot parse polynomial term {term!r}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "body, poly",
+        [
+            ("x^3", {3: 1.0}),
+            ("2x^4-3x+1", {4: 2.0, 1: -3.0, 0: 1.0}),
+            ("-1x^15-2x^5+8x^2-7", {15: -1.0, 5: -2.0, 2: 8.0, 0: -7.0}),
+            ("+3x^12+9x^7-4x^1+5", {12: 3.0, 7: 9.0, 1: -4.0, 0: 5.0}),
+        ],
+    )
+    def test_polynomial_parser_reads_each_term(self, body, poly):
+        assert _parse_polynomial(body) == poly
+
+    def test_function_names_come_from_one_table(self, capsys, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["study", "C4", "--help"])
+        assert "sin100pi | sin1000pi | poly:<expr>" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["study", "C4", "sin42", "0", "--csv-dir", str(tmp_path)])
+        assert capsys.readouterr().err.endswith(
+            "unknown function id 'sin42' (expected sin100pi, sin1000pi, or poly:...)\n"
+        )
+
+    def test_sin1000pi_study_converges_at_the_formula_order(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "study", "C4", "sin1000pi", "0.01", "--csv-dir", str(tmp_path),
+            "--h-max", "1e-4", "--h-min", "1e-5",
+        )
+        assert code == 0
+        assert out.startswith("C4: fitted order 4.0")
+        first = (tmp_path / "C4.csv").read_text().splitlines()[1].split(",")
+        omega = 1000 * math.pi
+        h = 1e-4
+        estimate = (
+            -math.sin(omega * (0.01 + 1.5 * h)) + 27 * math.sin(omega * (0.01 + 0.5 * h))
+            - 27 * math.sin(omega * (0.01 - 0.5 * h)) + math.sin(omega * (0.01 - 1.5 * h))
+        ) / (24 * h)
+        assert float(first[1]) == pytest.approx(abs(estimate - omega * math.cos(omega * 0.01)))
 
     @pytest.mark.parametrize(
         "x0, flags, named",

@@ -258,6 +258,17 @@ class TestGeneralEngine:
         with pytest.raises(ValueError, match="seed"):
             general_defcor(2, 2, [], base=word(fwd=1))
 
+    @pytest.mark.parametrize(
+        "m, order, message",
+        [
+            (-1, 2, "derivative order m must be nonnegative"),
+            (1, 0, "target order must be positive"),
+        ],
+    )
+    def test_out_of_range_arguments_rejected(self, m, order, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            general_defcor(m, order, [])
+
     def test_fractional_step_corrections(self):
         # half-step correction words exercise the variable-spacing path
         formula = general_defcor(

@@ -92,6 +92,22 @@ def words_to_order_six(draw):
     return word(fwd=fwd, bwd=bwd, cent=cent, avg=avg)
 
 
+class TestWord:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"fwd": -1}, "p_fwd must be nonnegative"),
+            ({"avg": -2}, "p_avg must be nonnegative"),
+            ({"spacing": 0}, "spacing_factor must be positive"),
+            ({"cent": 1, "spacing": Fraction(-1, 2)}, "spacing_factor must be positive"),
+        ],
+        ids=str,
+    )
+    def test_out_of_range_fields_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            word(**kwargs)
+
+
 class TestExpand:
     @pytest.mark.parametrize("spacing", [1, 3, Fraction(2, 5)], ids=str)
     def test_closed_form_matches_repeated_convolution(self, spacing):
@@ -318,3 +334,8 @@ class TestProductRules:
         narrow = GridFunction({0: Fraction(1), 1: Fraction(2)})
         with pytest.raises(GridRangeError, match="no sample at grid index -1$"):
             product_rule_check(1, narrow, narrow, 0, 1)
+
+    def test_order_below_one_raises(self):
+        f = GridFunction({i: Fraction(i) for i in range(-2, 3)})
+        with pytest.raises(ValueError, match="^product_rule_check: m must be positive$"):
+            product_rule_check(0, f, f, 0, 1)

@@ -228,16 +228,21 @@ class TestConvergenceStudy:
             convergence_study(C4, f, 1.0, 0.0, [0.1, 0.0, -0.1])
 
     @pytest.mark.parametrize(
-        "x0, spacings, message",
+        "x0, spacings, message, df_true",
         [
-            (0.0, [1e-2, math.nan, 1e-3, 1e-4], "spacing h must be finite, got nan"),
-            (0.0, [math.inf, 1e-2, 1e-3], "spacing h must be finite, got inf"),
-            (math.nan, [1e-2, 1e-3, 1e-4], "x0 must be finite, got nan"),
-            (math.inf, [1e-2, 1e-3, 1e-4], "x0 must be finite, got inf"),
-            (0.0, [1e-2, 1e-3, -math.inf], "spacing h must be positive"),
+            (0.0, [1e-2, math.nan, 1e-3, 1e-4], "spacing h must be finite, got nan", 1.0),
+            (0.0, [math.inf, 1e-2, 1e-3], "spacing h must be finite, got inf", 1.0),
+            (math.nan, [1e-2, 1e-3, 1e-4], "x0 must be finite, got nan", 1.0),
+            (math.inf, [1e-2, 1e-3, 1e-4], "x0 must be finite, got inf", 1.0),
+            (0.0, [1e-2, 1e-3, -math.inf], "spacing h must be positive", 1.0),
+            (0.0, [1e-2, 1e-3, 1e-4], "df_true must be finite, got nan", math.nan),
+            (0.0, [1e-2, 1e-3, 1e-4], "df_true must be finite, got inf", math.inf),
+            (0.0, [1e-2, 1e-3, 1e-4], "df_true must be finite, got -inf", -math.inf),
         ],
     )
-    def test_nonfinite_point_or_spacing_raises_before_sampling(self, x0, spacings, message):
+    def test_nonfinite_point_or_spacing_raises_before_sampling(
+        self, x0, spacings, message, df_true
+    ):
         calls = []
 
         def f(x):
@@ -245,9 +250,9 @@ class TestConvergenceStudy:
             return math.sin(x)
 
         with pytest.raises(ValueError, match=f"^{message}$"):
-            convergence_studies([("C4", C4), ("B6", B6)], f, 1.0, x0, spacings)
+            convergence_studies([("C4", C4), ("B6", B6)], f, df_true, x0, spacings)
         with pytest.raises(ValueError, match=f"^{message}$"):
-            convergence_study(C4, f, 1.0, x0, spacings)
+            convergence_study(C4, f, df_true, x0, spacings)
         assert calls == []
 
     def test_sixth_order_backward_on_oscillatory_function(self):

@@ -234,6 +234,26 @@ class TestVerify:
         report = verify(bad)
         assert not report.ok and report.first_failed_moment is None
 
+    def test_flatten_rejects_a_formula_whose_error_constant_is_wrong(self):
+        bad = replace(centered_formula(1), error_constant=frac(1))
+        with pytest.raises(FlattenError) as excinfo:
+            flatten(bad)
+        assert str(excinfo.value) == (
+            "merged stencil violates its own moment conditions: "
+            "fail: stored error constant disagrees with the moment sums"
+        )
+
+    @pytest.mark.parametrize(
+        "offsets, weights, message",
+        [
+            ((frac(-1), frac(1)), (frac(-1, 2),), "offsets and weights must have equal length"),
+            ((frac(1), frac(-1)), (frac(1, 2), frac(-1, 2)), "offsets must be sorted ascending"),
+        ],
+    )
+    def test_malformed_stencil_rejected(self, offsets, weights, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Stencil(m=1, order=2, offsets=offsets, weights=weights, error_constant=frac(1, 6))
+
 
 def all_families_to_order_12():
     yield from catalog(12)
