@@ -57,11 +57,13 @@ def _check_param(family: Family, p: int, context: str) -> None:
 
 
 def _number(digits: str, context: str) -> int:
-    # ``int`` refuses more than 4300 digits; every such number is far above the cap.
+    # A number with more digits than the cap is above it, and never reaches
+    # ``int``, whose digit limit the environment can lower.
     digits = digits.lstrip("0") or "0"
-    if len(digits) > 4300:
+    width = len(str(MAX_ORDER))
+    if len(digits) > width:
         raise FormulaIdError(
-            f"{context}: order of more than 4300 digits is above the cap {MAX_ORDER}"
+            f"{context}: order of more than {width} digits is above the cap {MAX_ORDER}"
         )
     return int(digits)
 

@@ -4,8 +4,9 @@ Every coefficient, node offset, and weight in this package is a
 :class:`fractions.Fraction`, so formula generation never rounds.  The moment
 sums collected here are the identities that make difference words act like
 derivatives on polynomials; everything downstream leans on them.
-:func:`power_sums` is the one kernel behind every node moment: it scales
-the nodes once onto integer lattices, so each moment is an integer sum.
+:func:`power_sums` is the one kernel behind every node moment: it runs on
+the integer lattices :func:`node_lattice` scales the nodes onto, so each
+moment is an integer sum.
 :func:`node_sum` is the one weighted node sum behind every exact evaluation.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 Rational = Fraction
 
@@ -52,25 +53,39 @@ def moment_sum(m: int, r: RationalLike, p: int) -> Rational:
     return sum((-1) ** j * binom(m, j) * (m + shift - j) ** p for j in range(m + 1))
 
 
-# ``lattice``, ``power_sums`` and ``node_sum`` stay out of ``__all__``: the
-# exported names are the ones the benchmark's tracer counts calls of.
+# ``lattice``, ``node_lattice``, ``power_sums`` and ``node_sum`` stay out of
+# ``__all__``: the exported names are the ones the benchmark's tracer counts
+# calls of.
 def lattice(values: Iterable[Rational]) -> tuple[list[int], int]:
     """Integers ``n_j`` and the least common denominator ``d``: ``values[j] == n_j / d``."""
     values = list(values)
-    d = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
+    dens = [v.denominator for v in values]
+    d = math.lcm(*dens)
+    return [v.numerator * (d // q) for v, q in zip(values, dens)], d
 
 
-def power_sums(nodes: Iterable[tuple[Rational, Rational]]) -> Iterator[tuple[int, int]]:
-    """Moments ``sum_j w_j o_j**i`` for ``i = 0, 1, 2, ...`` as ``(num, den)``.
-
-    With ``o_j = a_j / L`` and ``w_j = b_j / D`` on their lattices, moment
-    ``i`` is the integer sum ``sum_j b_j a_j**i`` over ``D * L**i``, left
-    unreduced so callers divide once (by ``i!`` too, for a Taylor term).
-    """
+def node_lattice(
+    nodes: Iterable[tuple[Rational, Rational]],
+) -> tuple[tuple[int, ...], int, tuple[int, ...], int]:
+    """``(a, L, b, D)``: offsets ``o_j == a_j / L``, weights ``w_j == b_j / D``."""
     nodes = list(nodes)
     points, scale = lattice(o for o, _ in nodes)
     terms, den = lattice(w for _, w in nodes)
+    return tuple(points), scale, tuple(terms), den
+
+
+def power_sums(
+    points: Sequence[int], scale: int, terms: Sequence[int], den: int, start: int = 0
+) -> Iterator[tuple[int, int]]:
+    """Moments ``sum_j w_j o_j**i`` for ``i = start, start + 1, ...`` as ``(num, den)``.
+
+    On the lattice of :func:`node_lattice`, moment ``i`` is the integer sum
+    ``sum_j b_j a_j**i`` over ``D * L**i``, left unreduced so callers divide
+    once (by ``i!`` too, for a Taylor term).  The running products live only
+    as long as the iterator.
+    """
+    terms = [b * a**start for a, b in zip(points, terms)]
+    den *= scale**start
     while True:
         yield sum(terms), den
         terms = list(map(mul, terms, points))

@@ -24,7 +24,9 @@ from functools import cached_property
 from typing import Sequence
 
 from .defcor import CorrectionFormula
-from .exactmath import Rational, RationalLike, format_rational, lattice, power_sums
+from .exactmath import (
+    Rational, RationalLike, format_rational, lattice, node_lattice, power_sums
+)
 from .gridops import expand
 
 __all__ = [
@@ -96,11 +98,18 @@ def flatten(formula: CorrectionFormula) -> Stencil:
             "formula terms are anchored at different evaluation points: "
             + ", ".join(sorted(format_rational(a) for a in anchors))
         )
-    # Offsets and coefficient-times-weight products each go onto one lattice.
+    # Offsets go onto one lattice; each coefficient-times-weight product is an
+    # integer pair ``(num, den)``, and the pairs go over one common ``den``.
     words = [(1, expand(formula.base_expr))]
     words += [(-coeff, expand(expr)) for coeff, expr in formula.terms]
     points, scale = lattice(o for _, nodes in words for o in nodes)
-    weights, den = lattice(c * w for c, nodes in words for w in nodes.values())
+    products = [
+        (c.numerator * w.numerator, c.denominator * w.denominator)
+        for c, nodes in words
+        for w in nodes.values()
+    ]
+    den = math.lcm(*(d for _, d in products))
+    weights = [n * (den // d) for n, d in products]
     merged: dict[int, int] = {}
     for a, w in zip(points, weights):
         merged[a] = merged.get(a, 0) + w
@@ -199,7 +208,8 @@ def verify(stencil: Stencil) -> StencilCheck:
     m, top = stencil.m, stencil.m + stencil.order
     first_failed = failed_value = None
     factorial = 1
-    for r, (total, den) in zip(range(top + 1), power_sums(stencil.nodes())):
+    sums = power_sums(*node_lattice(stencil.nodes()))
+    for r, (total, den) in zip(range(top + 1), sums):
         factorial *= r or 1
         if r == top:
             recomputed = Fraction(total, den * factorial)

@@ -77,17 +77,36 @@ class TestFormulaIds:
         err = exits_2_before_generating(capsys, monkeypatch, "stencil", formula_id)
         assert f"above the cap {MAX_ORDER}" in err
 
-    # ``int`` refuses a string of more than 4300 digits
+    # ``int`` refuses a string of more than 4300 digits by default
     @pytest.mark.parametrize(
-        "formula_id", ["C" + "9" * 4301, "centered:p=" + "9" * 5000], ids=["C9x4301", "p9x5000"]
+        "formula_id",
+        ["F1000", "C" + "9" * 4301, "centered:p=" + "9" * 5000],
+        ids=["F1000", "C9x4301", "p9x5000"],
     )
     def test_number_too_long_for_int_exits_2_with_the_cap(
         self, capsys, monkeypatch, formula_id
     ):
         err = exits_2_before_generating(capsys, monkeypatch, "stencil", formula_id)
         assert err.endswith(
-            f": order of more than 4300 digits is above the cap {MAX_ORDER}\n"
+            f": order of more than {len(str(MAX_ORDER))} digits is above the cap {MAX_ORDER}\n"
         )
+
+    @pytest.mark.parametrize(
+        "formula_id", ["C" + "9" * 1000, "centered:p=" + "9" * 700], ids=["C9x1000", "p9x700"]
+    )
+    def test_long_number_under_a_lowered_int_digit_limit_exits_2(self, formula_id):
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(fdcorr.__file__).parents[1]),
+            PYTHONINTMAXSTRDIGITS="640",
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "fdcorr.cli", "stencil", formula_id],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.endswith(f"is above the cap {MAX_ORDER}\n")
 
 
 class TestFamilies:

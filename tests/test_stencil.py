@@ -14,6 +14,7 @@ from fdcorr import (
     backward_centered,
     centered_average_formula,
     centered_formula,
+    expand,
     flatten,
     general_defcor,
     interior_centered,
@@ -253,6 +254,26 @@ class TestVerify:
     def test_malformed_stencil_rejected(self, offsets, weights, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             Stencil(m=1, order=2, offsets=offsets, weights=weights, error_constant=frac(1, 6))
+
+
+def fraction_flatten(formula):
+    """Reference: the plain ``Fraction`` sum of ``coeff * expand(word)`` over the words."""
+    merged = dict(expand(formula.base_expr))
+    for coeff, expr in formula.terms:
+        for offset, weight in expand(expr).items():
+            merged[offset] = merged.get(offset, 0) - coeff * weight
+    offsets = sorted(o for o, w in merged.items() if w)
+    return tuple(offsets), tuple(merged[o] for o in offsets)
+
+
+def test_flatten_equals_the_fraction_sum_through_order_30():
+    formulas = list(catalog(30))
+    # interior-centered seeds span the interval, a step of 2p + 1
+    assert any(f.base_expr.spacing_factor != 1 for f in formulas)
+    for formula in formulas:
+        st = flatten(formula)
+        assert (st.offsets, st.weights) == fraction_flatten(formula), formula.label
+        assert all(type(w) is Fraction for w in st.weights + st.offsets)
 
 
 def all_families_to_order_12():

@@ -17,6 +17,7 @@ from fdcorr import (
     series_from_nodes,
     word,
 )
+from fdcorr import taylorseries
 
 HALF = Fraction(1, 2)
 
@@ -259,6 +260,159 @@ class TestIntegerMomentKernel:
         assert str(excinfo.value) == (
             "lead moment is 1/2, expected 1! for a normalized derivative approximation"
         )
+
+
+def power_sum_series(nodes, lead, truncation):
+    """Reference: the uncached power-sum loop, every moment from degree 0 on the lattice."""
+    scale = math.lcm(*(o.denominator for o in nodes))
+    den = math.lcm(*(w.denominator for w in nodes.values()))
+    points = [o.numerator * (scale // o.denominator) for o in nodes]
+    terms = [w.numerator * (den // w.denominator) for w in nodes.values()]
+    coeffs = {}
+    for i in range(truncation + 1):
+        total = sum(terms)
+        if i < lead:
+            if total:
+                raise ValueError(
+                    f"nodes do not annihilate degree {i}: moment sum {Fraction(total, den)}"
+                )
+        elif i == lead:
+            if total != math.factorial(i) * den:
+                raise ValueError(
+                    f"lead moment is {Fraction(total, den)}, expected {lead}! "
+                    "for a normalized derivative approximation"
+                )
+        elif total:
+            coeffs[i] = Fraction(total, den * math.factorial(i))
+        terms = [b * a for a, b in zip(points, terms)]
+        den *= scale
+    return coeffs
+
+
+random_words = st.builds(
+    word,
+    fwd=st.integers(0, 4),
+    bwd=st.integers(0, 4),
+    cent=st.integers(0, 4),
+    avg=st.integers(0, 3),
+    shift=st.sampled_from([0, HALF, -1, Fraction(3, 2)]),
+    spacing=st.sampled_from([1, 2, 3, 5, HALF, Fraction(2, 3)]),
+)
+ORDERINGS = {
+    "as drawn": lambda requests: requests,
+    "ascending": lambda requests: sorted(requests, key=lambda r: r[1]),
+    "descending": lambda requests: sorted(requests, key=lambda r: -r[1]),
+    "repeated": lambda requests: [r for r in requests for _ in range(2)],
+}
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """A fresh, empty series memo for the test; the process's own is put back after."""
+    monkeypatch.setattr(taylorseries, "_SERIES", {})
+    return taylorseries._SERIES
+
+
+class TestSeriesMemo:
+    @given(
+        st.lists(random_words, min_size=1, max_size=4),
+        st.lists(st.tuples(st.integers(0, 3), st.integers(1, 14)), min_size=1, max_size=10),
+        st.sampled_from(sorted(ORDERINGS)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_request_equals_the_uncached_loop(self, words, requests, ordering):
+        taylorseries._SERIES.clear()
+        requests = ORDERINGS[ordering]([(words[i % len(words)], d) for i, d in requests])
+        returned = []
+        for expr, depth in requests:
+            truncation = expr.diff_order + depth
+            got = error_series(expr, truncation)
+            want = power_sum_series(expand(expr), expr.diff_order, truncation)
+            assert (got.lead, got.truncation, got.coeffs) == (expr.diff_order, truncation, want)
+            assert all(type(c) is Fraction for c in got.coeffs.values())
+            returned.append((got, want))
+        # a later, deeper request never changes a series handed out before it
+        assert all(got.coeffs == want for got, want in returned)
+        assert len(taylorseries._SERIES) <= len(words)
+
+    def test_a_returned_series_is_the_callers_own(self, empty_memo):
+        first = error_series(word(fwd=2), 6)
+        first.coeffs.clear()
+        again = error_series(word(fwd=2), 6)
+        assert again.coeffs == power_sum_series(expand(word(fwd=2)), 2, 6)
+
+    @pytest.mark.parametrize(
+        "nodes, lead, message",
+        [
+            ({Fraction(1, 3): Fraction(1, 7)}, 1, "nodes do not annihilate degree 0: moment sum 1/7"),
+            (
+                {Fraction(1, 3): Fraction(3, 2), Fraction(0): Fraction(-3, 2)},
+                1,
+                "lead moment is 1/2, expected 1! for a normalized derivative approximation",
+            ),
+            # the forward difference's own nodes, kept under lead 1, asked for other leads
+            (expand(word(fwd=1)), 2, "nodes do not annihilate degree 1: moment sum 1"),
+            (expand(word(fwd=1)), 0, "lead moment is 0, expected 0! for a normalized derivative approximation"),
+        ],
+        ids=["low-degree", "lead-moment", "fwd-as-lead-2", "fwd-as-lead-0"],
+    )
+    def test_a_failing_call_raises_the_same_message_again_and_keeps_nothing(
+        self, empty_memo, nodes, lead, message
+    ):
+        error_series(word(fwd=1), 5)
+        kept = dict(empty_memo)
+        for _ in range(2):
+            with pytest.raises(ValueError) as excinfo:
+                series_from_nodes(nodes, lead, lead + 4)
+            assert str(excinfo.value) == message
+            assert empty_memo == kept
+
+    def test_the_memo_never_holds_more_entries_than_its_cap(self, empty_memo):
+        cap = taylorseries._SERIES_CAP
+        assert cap == 1024
+        for n in range(1, cap + 40):
+            error_series(word(fwd=1, spacing=n), 3)
+            assert len(empty_memo) <= cap
+        assert len(empty_memo) == cap
+        # the evicted first entry is computed afresh, and still right
+        assert error_series(word(fwd=1), 3).coeffs == power_sum_series(expand(word(fwd=1)), 1, 3)
+
+    def test_the_least_recently_used_entry_goes_first(self, empty_memo, monkeypatch):
+        monkeypatch.setattr(taylorseries, "_SERIES_CAP", 3)
+        computed = []
+        real = taylorseries.power_sums
+
+        def counting(*args):
+            computed.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(taylorseries, "power_sums", counting)
+        a, b, c, d = (word(fwd=1, spacing=n) for n in (1, 2, 3, 4))
+        for expr in (a, b, c, b, a):  # the last two are read, and drop nothing
+            error_series(expr, 4)
+        assert len(empty_memo) == 3 and len(computed) == 3
+        error_series(d, 4)  # drops c, the least recently used
+        for expr in (a, b, d):
+            error_series(expr, 4)
+        assert len(empty_memo) == 3 and len(computed) == 4
+        error_series(c, 4)
+        assert len(computed) == 5
+
+    def test_a_deeper_request_extends_and_a_shallower_one_reads_the_prefix(
+        self, empty_memo, monkeypatch
+    ):
+        starts = []
+        real = taylorseries.power_sums
+
+        def recording(*args):
+            starts.append(args[4])
+            return real(*args)
+
+        monkeypatch.setattr(taylorseries, "power_sums", recording)
+        for truncation in (6, 9, 4, 9, 12):
+            error_series(word(cent=3, avg=1), truncation)
+        # computed from degree 0, extended past 6 and past 9; the rest were read
+        assert starts == [0, 7, 10]
 
 
 class TestValidation:
