@@ -24,9 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .defcor import (
-    FAMILIES, CorrectionFormula, Family, catalog, family_named, forward_centered
-)
+from .defcor import FAMILIES, CorrectionFormula, Family, catalog, family_named
 from .exactmath import Rational, format_rational
 from .numdiff import convergence_studies
 from .stencil import FlattenError, flatten, oracle_weights, verify
@@ -108,33 +106,14 @@ def _json_dumps(obj: dict) -> str:
 # coeffs
 
 
-def _coeff_row(coefficients: Mapping[int, Rational]) -> list[tuple[str, str]]:
-    return [(f"i={i}", format_rational(v)) for i, v in sorted(coefficients.items())]
-
-
 def cmd_coeffs(args: argparse.Namespace) -> int:
     family = family_named(args.family)
     if family is None:
         raise FormulaIdError(f"unknown family {args.family!r}")
     p = args.p
     _check_param(family, p, "coeffs")
-    if family.name in ("forward-centered", "backward-centered") and not args.json:
-        # Both variants share one table: the backward coefficients equal the
-        # forward ones at i=2 and are their negatives from i=3 on.
-        table_formula = forward_centered(p)
-        print(f"{family.name} coefficients, p={p} (order {table_formula.order})")
-        row = _coeff_row(table_formula.family_coefficients)
-        row.append(
-            (f"i={p + 1}", format_rational(table_formula.error_constant))
-        )
-        _print_row(row)
-        print(f"(the i={p + 1} entry is the error constant)")
-        if family.name == "backward-centered":
-            print("backward variant: i=2 entry shared, signs flip from i=3 on")
-        return 0
-
-    # A generator call may yield a derivative and a value formula together
-    # (interior-centered); they print as one table and one JSON object.
+    # A family's build may yield a derivative and a value formula together;
+    # they print as one table and one JSON object.
     formulas = family.build(p)
     roles = ("value", "derivative")
     if args.json:
@@ -148,7 +127,9 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     for formula in formulas:
         merged.update(formula.family_coefficients)
     print(f"{family.name} coefficients, p={p} (order {formulas[0].order})")
-    _print_row(_coeff_row(merged))
+    items = sorted(merged.items())
+    print("  ".join(f"{f'i={i}':>14}" for i, _ in items))
+    print("  ".join(f"{format_rational(v):>14}" for _, v in items))
     if len(formulas) == 1:
         print(f"error constant: {format_rational(formulas[0].error_constant)}")
     else:
@@ -157,13 +138,6 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
         )
         print(f"error constants: {constants}")
     return 0
-
-
-def _print_row(row: list[tuple[str, str]]) -> None:
-    labels = "  ".join(f"{label:>14}" for label, _ in row)
-    values = "  ".join(f"{value:>14}" for _, value in row)
-    print(labels)
-    print(values)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .exactmath import Rational, RationalLike, format_rational, node_sum
 
@@ -184,15 +184,6 @@ class GridFunction:
             return self.samples[Fraction(index)]
         except KeyError:
             raise GridRangeError(Fraction(index)) from None
-
-    def __contains__(self, index: RationalLike) -> bool:
-        return Fraction(index) in self.samples
-
-    def __iter__(self) -> Iterator[Rational]:
-        return iter(sorted(self.samples))
-
-    def __len__(self) -> int:
-        return len(self.samples)
 
 
 def apply(expr: OperatorExpr, u: GridFunction, at: RationalLike, k):

@@ -149,8 +149,38 @@ class TestCoeffs:
     def test_backward_centered_row_ends_with_error_constant(self, capsys):
         code, out, _ = run(capsys, "coeffs", "bc", "10")
         assert code == 0
-        for value in ("1/2", "1/12", "1/2772"):
-            assert value in out
+        title, labels, values, constant = out.splitlines()
+        assert title == "backward-centered coefficients, p=10 (order 10)"
+        assert labels.split() == [f"i={i}" for i in range(2, 11)]
+        assert values.split() == [
+            "1/2", "-1/6", "-1/12", "1/30", "1/60", "-1/140", "-1/280", "1/630", "1/1260"
+        ]
+        assert constant == "error constant: 1/2772"
+
+    @pytest.mark.parametrize("p", ["min_p", 5, 12])
+    @pytest.mark.parametrize("row", FAMILIES, ids=lambda f: f.name)
+    def test_text_agrees_with_json(self, capsys, row, p):
+        p = row.min_p if p == "min_p" else p
+        code, out, _ = run(capsys, "coeffs", row.name, str(p))
+        assert code == 0
+        _, labels, values, constants = out.splitlines()
+        _, out, _ = run(capsys, "coeffs", row.name, str(p), "--json")
+        payload = json.loads(out)
+        if "family" in payload:
+            formulas = [payload]
+            expected = f"error constant: {payload['error_constant']}"
+        else:  # interior-centered: one object per role
+            formulas = list(payload.values())
+            expected = "error constants: " + ", ".join(
+                f"{role} {f['error_constant']}" for role, f in payload.items()
+            )
+        coefficients = {}
+        for formula in formulas:
+            coefficients.update(formula["family_coefficients"])
+        indices = sorted(coefficients, key=int)
+        assert labels.split() == [f"i={i}" for i in indices]
+        assert values.split() == [coefficients[i] for i in indices]
+        assert constants == expected
 
     def test_json_emits_formula_schema(self, capsys):
         code, out, _ = run(capsys, "coeffs", "centered", "2", "--json")

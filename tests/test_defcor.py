@@ -20,7 +20,7 @@ from fdcorr import (
     standard_forward,
     word,
 )
-from fdcorr.defcor import FAMILIES
+from fdcorr.defcor import FAMILIES, family_named
 
 
 def frac(n, d=1):
@@ -82,6 +82,65 @@ MIXED_TABLE = {
     }.items()
 }
 MIXED_TABLE[2] = frac(1, 2)
+
+
+def _centered(i):
+    # c_(2n+1) = (-1)^(n+1) (2n)! / (2^(4n) (n!)^2 (2n+1)) and
+    # c_(2n) = (-1)^(n+1) binom(2n, n) / 16^n
+    n = i // 2
+    if i % 2:
+        return frac((-1) ** (n + 1) * math.factorial(2 * n),
+                    2 ** (4 * n) * math.factorial(n) ** 2 * (2 * n + 1))
+    return frac((-1) ** (n + 1) * math.comb(2 * n, n), 16**n)
+
+
+def _forward_centered(i):
+    # |c_(2n+1)| = (n!)^2 / (2n+1)!, |c_(2n)| = ((n-1)!)^2 / (2 (2n-1)!);
+    # the sign is + at i = 2 and (-1)^floor((i-3)/2) from i = 3 on
+    n = i // 2
+    if i % 2:
+        size = frac(math.factorial(n) ** 2, math.factorial(i))
+    else:
+        size = frac(math.factorial(n - 1) ** 2, 2 * math.factorial(i - 1))
+    return size if i == 2 else (-1) ** ((i - 3) // 2) * size
+
+
+def _backward_centered(i):
+    # forward-centered's entry at i = 2, its negative from i = 3 on
+    return _forward_centered(i) if i == 2 else -_forward_centered(i)
+
+
+# Exact closed forms, independent of the engine: for each family, its
+# coefficient indices at parameter p, the coefficient c_i, and the error
+# constant at p.
+CLOSED_FORMS = {
+    "standard-forward": (lambda p: range(2, p + 1), lambda i: frac((-1) ** i, i),
+                         lambda p: frac((-1) ** (p + 1), p + 1)),
+    "standard-backward": (lambda p: range(2, p + 1), lambda i: frac(1, i),
+                          lambda p: frac(-1, p + 1)),
+    "centered": (lambda p: range(3, 2 * p + 2, 2), _centered,
+                 lambda p: _centered(2 * p + 3)),
+    "centered-average": (lambda p: range(2, 2 * p + 1, 2), _centered,
+                         lambda p: _centered(2 * p + 2)),
+    "forward-centered": (lambda p: range(2, p + 1), _forward_centered,
+                         lambda p: _forward_centered(p + 1)),
+    "backward-centered": (lambda p: range(2, p + 1), _backward_centered,
+                          lambda p: _forward_centered(p + 1)),
+}
+
+
+def closed_form(name, p):
+    """``(family_coefficients, error_constant)`` of family ``name`` at ``p``."""
+    indices, coefficient, error_constant = CLOSED_FORMS[name]
+    return {i: coefficient(i) for i in indices(p)}, error_constant(p)
+
+
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_closed_forms_through_order_60(name):
+    row = family_named(name)
+    for p in range(row.min_p, row.param(60) + 1):
+        formula = row.build(p)[0]
+        assert (formula.family_coefficients, formula.error_constant) == closed_form(name, p), p
 
 
 class TestCenteredFamilies:

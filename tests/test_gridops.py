@@ -247,8 +247,8 @@ class TestApply:
         after_bwd = GridFunction(
             {
                 i: (u.value(i) - u.value(i - 1)) / 1
-                for i in u
-                if Fraction(i) - 1 in u
+                for i in u.samples
+                if i - 1 in u.samples
             }
         )
         bwd_then_fwd = nested_apply(word(fwd=1), after_bwd, 0, 1)
