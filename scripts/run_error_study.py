@@ -6,6 +6,10 @@ orders 6/10, interior-centered orders 6/10) on sin(100*pi*x) and
 sin(1000*pi*x) at x0 = 0, writes one CSV per formula plus a gnuplot script
 per function, and prints the fitted convergence orders.
 
+BC6 and BC10 flatten to the central differences of orders 6 and 10, and IC6
+and IC10 to the C6 and C10 stencils, so the BC rows measure central
+differences and the IC rows measure the C stencils.
+
 Usage:
     python scripts/run_error_study.py [--out DIR]
 """

@@ -116,8 +116,12 @@ def expand(expr: OperatorExpr) -> dict[Rational, Rational]:
     return dict(_expansion(expr))
 
 
-# 1024 holds every word the named families use up to the order cap (997).
-@functools.lru_cache(maxsize=1024)
+# Entries kept here and in ``taylorseries._kept``: the named families up to the
+# order cap ``cli.MAX_ORDER`` use 997 distinct words over 997 distinct node sets.
+_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _expansion(expr: OperatorExpr) -> dict[Rational, Rational]:
     # (E - 1)**n as alternating binomials, then one (E + 1) per average.
     n = expr.diff_order

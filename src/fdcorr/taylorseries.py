@@ -15,8 +15,9 @@ sum ``sum_j b_j a_j**i`` divided once by ``D * L**i * i!``.  Integer sums are
 exact, so ``e_i`` is the same ``Fraction`` a rational loop would give.
 
 Many formulas share words, so :func:`series_from_nodes` keeps each node
-set's coefficients for the rest of the process, keyed by that integer
-lattice and the lead.  A series to truncation ``T`` is a prefix of the same
+set's coefficients for the rest of the process in a ``functools.lru_cache``
+keyed by that integer lattice and the lead, which checks the moments
+through the lead once.  A series to truncation ``T`` is a prefix of the same
 series to any deeper ``T'``: a deeper request extends the kept entry from
 where it stopped, a shallower one reads its prefix, and either way every
 coefficient is the ``Fraction`` a fresh computation gives.
@@ -24,14 +25,14 @@ coefficient is the ``Fraction`` a fresh computation gives.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .exactmath import Rational, node_lattice, power_sums
-from .gridops import OperatorExpr, expand
+from .gridops import _CACHE_SIZE, OperatorExpr, expand
 
 __all__ = [
     "ErrorSeries",
@@ -67,14 +68,6 @@ def default_truncation(lead: int, order: int) -> int:
     return lead + 2 * order + 2
 
 
-# Each node set's series, by its lattice and lead, at the deepest truncation
-# asked so far: ``{(a, L, b, D, lead): (truncation, coeffs)}``, oldest use
-# first.  1024 holds every word the named families use up to the order cap.
-_SERIES: dict[tuple, tuple[int, dict[int, Rational]]] = {}
-_SERIES_CAP = 1024
-_SERIES_LOCK = threading.Lock()
-
-
 def series_from_nodes(
     nodes: Mapping[Rational, Rational], lead: int, truncation: int
 ) -> ErrorSeries:
@@ -82,48 +75,50 @@ def series_from_nodes(
 
     Raises if the node sums do not annihilate all powers below ``lead`` or
     fail to reproduce the lead derivative with coefficient exactly 1.
-    Each node set's coefficients are computed once per process and kept for
-    up to 1024 node sets, the least recently used dropped first.  A deeper
-    truncation extends the kept series from where it stopped, into a new
-    entry; a shallower one reads its prefix.  Every call returns a fresh
-    ``coeffs`` dict.  A call that raises keeps nothing, and the running
-    power products are never kept.
+    Each node set's coefficients are kept by :func:`_kept`: a deeper
+    truncation extends them, a shallower one reads their prefix.  Every call
+    returns a fresh ``coeffs`` dict.
     """
     if truncation <= lead:
         raise ValueError(
             f"truncation must exceed the lead order {lead}, got {truncation}"
         )
     points, scale, terms, den = node_lattice(nodes.items())
-    key = (points, scale, terms, den, lead)
-    done, coeffs = _SERIES.get(key, (-1, {}))
+    kept = _kept(points, scale, terms, den, lead)
+    done, coeffs = kept[0]
     if truncation > done:
         coeffs = dict(coeffs)
-        factorial = math.factorial(max(done, 0))
+        factorial = math.factorial(done)
         sums = power_sums(points, scale, terms, den, done + 1)
         for i, (total, den_i) in zip(range(done + 1, truncation + 1), sums):
-            factorial *= i or 1
-            if i < lead:
-                if total:
-                    moment = Fraction(total, den_i)
-                    raise ValueError(
-                        f"nodes do not annihilate degree {i}: moment sum {moment}"
-                    )
-            elif i == lead:
-                if total != factorial * den_i:
-                    raise ValueError(
-                        f"lead moment is {Fraction(total, den_i)}, expected {lead}! "
-                        "for a normalized derivative approximation"
-                    )
-            elif total:
+            factorial *= i
+            if total:
                 coeffs[i] = Fraction(total, den_i * factorial)
-        done = truncation
-    with _SERIES_LOCK:
-        _SERIES.pop(key, None)
-        if len(_SERIES) >= _SERIES_CAP:
-            del _SERIES[next(iter(_SERIES))]
-        _SERIES[key] = done, coeffs
+        kept[0] = truncation, coeffs
     prefix = {i: c for i, c in coeffs.items() if i <= truncation}
     return ErrorSeries(lead=lead, coeffs=prefix, truncation=truncation)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _kept(points, scale, terms, den, lead) -> list[tuple[int, dict[int, Rational]]]:
+    # ``[(truncation, coeffs)]``, the node set's deepest series so far, once
+    # its moments through ``lead`` pass; a call that raises keeps nothing.
+    # The one write, ``kept[0] = ...``, swaps in a new pair and changes no dict
+    # a caller or thread may be reading.  It needs no lock: of two threads
+    # extending at once the later store wins, which loses depth, never a term.
+    sums = power_sums(points, scale, terms, den, 0)
+    for i, (total, den_i) in zip(range(lead), sums):
+        if total:
+            raise ValueError(
+                f"nodes do not annihilate degree {i}: moment sum {Fraction(total, den_i)}"
+            )
+    total, den_i = next(sums)
+    if total != math.factorial(lead) * den_i:
+        raise ValueError(
+            f"lead moment is {Fraction(total, den_i)}, expected {lead}! "
+            "for a normalized derivative approximation"
+        )
+    return [(lead, {})]
 
 
 def error_series(expr: OperatorExpr, truncation: int) -> ErrorSeries:

@@ -375,3 +375,35 @@ def test_flattened_series_confirms_order_and_constant(formula):
     for i in range(formula.m + 1, formula.m + formula.order):
         assert series.coefficient(i) == 0
     assert series.coefficient(formula.m + formula.order) == formula.error_constant
+
+
+def stencil_key(st):
+    return st.m, st.order, st.offsets, st.weights, st.error_constant
+
+
+class TestSharedStencils:
+    """Families that differ as correction sums but flatten to one stencil."""
+
+    @pytest.mark.parametrize("p", range(2, 61))
+    def test_forward_and_backward_centered_flatten_to_one_stencil(self, p):
+        fc, bc = forward_centered(p), backward_centered(p)
+        st = flatten(fc)
+        assert stencil_key(st) == stencil_key(flatten(bc))
+        # integer nodes on -p/2..p/2 at even p, with antisymmetric weights
+        # (the central difference), and on -(p+1)/2..(p-1)/2 at odd p
+        assert (st.offsets[0], st.offsets[-1]) == (-(p // 2) - p % 2, p // 2)
+        assert all(o.denominator == 1 for o in st.offsets)
+        if p % 2 == 0:
+            assert st.weights == tuple(-w for w in reversed(st.weights))
+        # the engine coefficients: opposite at i = 2, equal from i = 3 on
+        forward = {e.diff_order: c for c, e in fc.terms}
+        backward = {e.diff_order: c for c, e in bc.terms}
+        assert forward.keys() == backward.keys() == set(range(2, p + 1))
+        assert forward[2] == -backward[2]
+        assert all(forward[i] == backward[i] for i in range(3, p + 1))
+
+    @pytest.mark.parametrize("p", range(1, 30))
+    def test_interior_centered_flattens_to_the_centered_stencils(self, p):
+        deriv, value = interior_centered(p)
+        assert stencil_key(flatten(deriv)) == stencil_key(flatten(centered_formula(p)))
+        assert stencil_key(flatten(value)) == stencil_key(flatten(centered_average_formula(p)))

@@ -1,12 +1,17 @@
 """Error-series coefficients against closed forms and a monomial oracle."""
 
 import math
+import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fdcorr
 from fdcorr import (
     GridFunction,
     apply,
@@ -17,7 +22,10 @@ from fdcorr import (
     series_from_nodes,
     word,
 )
-from fdcorr import taylorseries
+from fdcorr import gridops, taylorseries
+from fdcorr.cli import MAX_ORDER
+from fdcorr.defcor import FAMILIES, CorrectionFormula
+from fdcorr.exactmath import node_lattice
 
 HALF = Fraction(1, 2)
 
@@ -307,10 +315,16 @@ ORDERINGS = {
 
 
 @pytest.fixture
-def empty_memo(monkeypatch):
-    """A fresh, empty series memo for the test; the process's own is put back after."""
-    monkeypatch.setattr(taylorseries, "_SERIES", {})
-    return taylorseries._SERIES
+def empty_cache():
+    """The process's series cache, cleared before the test and after it."""
+    taylorseries._kept.cache_clear()
+    yield taylorseries._kept
+    taylorseries._kept.cache_clear()
+
+
+def size_and_misses(cache):
+    info = cache.cache_info()
+    return info.currsize, info.misses
 
 
 class TestSeriesMemo:
@@ -321,7 +335,7 @@ class TestSeriesMemo:
     )
     @settings(max_examples=150, deadline=None)
     def test_every_request_equals_the_uncached_loop(self, words, requests, ordering):
-        taylorseries._SERIES.clear()
+        taylorseries._kept.cache_clear()
         requests = ORDERINGS[ordering]([(words[i % len(words)], d) for i, d in requests])
         returned = []
         for expr, depth in requests:
@@ -333,12 +347,13 @@ class TestSeriesMemo:
             returned.append((got, want))
         # a later, deeper request never changes a series handed out before it
         assert all(got.coeffs == want for got, want in returned)
-        assert len(taylorseries._SERIES) <= len(words)
+        assert taylorseries._kept.cache_info().currsize <= len(words)
 
-    def test_a_returned_series_is_the_callers_own(self, empty_memo):
+    def test_a_returned_series_is_the_callers_own(self, empty_cache):
         first = error_series(word(fwd=2), 6)
         first.coeffs.clear()
         again = error_series(word(fwd=2), 6)
+        assert empty_cache.cache_info().hits == 1
         assert again.coeffs == power_sum_series(expand(word(fwd=2)), 2, 6)
 
     @pytest.mark.parametrize(
@@ -357,49 +372,50 @@ class TestSeriesMemo:
         ids=["low-degree", "lead-moment", "fwd-as-lead-2", "fwd-as-lead-0"],
     )
     def test_a_failing_call_raises_the_same_message_again_and_keeps_nothing(
-        self, empty_memo, nodes, lead, message
+        self, empty_cache, nodes, lead, message
     ):
         error_series(word(fwd=1), 5)
-        kept = dict(empty_memo)
-        for _ in range(2):
+        size, misses = size_and_misses(empty_cache)
+        for attempt in range(1, 3):
             with pytest.raises(ValueError) as excinfo:
                 series_from_nodes(nodes, lead, lead + 4)
             assert str(excinfo.value) == message
-            assert empty_memo == kept
+            # nothing kept: each attempt is a fresh miss
+            assert size_and_misses(empty_cache) == (size, misses + attempt)
+        error_series(word(fwd=1), 5)
+        assert size_and_misses(empty_cache) == (size, misses + 2)
 
-    def test_the_memo_never_holds_more_entries_than_its_cap(self, empty_memo):
-        cap = taylorseries._SERIES_CAP
+    def test_the_memo_never_holds_more_entries_than_its_cap(self, empty_cache):
+        cap = empty_cache.cache_info().maxsize
         assert cap == 1024
         for n in range(1, cap + 40):
             error_series(word(fwd=1, spacing=n), 3)
-            assert len(empty_memo) <= cap
-        assert len(empty_memo) == cap
+            assert empty_cache.cache_info().currsize <= cap
+        size, misses = size_and_misses(empty_cache)
+        assert size == cap
         # the evicted first entry is computed afresh, and still right
         assert error_series(word(fwd=1), 3).coeffs == power_sum_series(expand(word(fwd=1)), 1, 3)
+        assert size_and_misses(empty_cache) == (cap, misses + 1)
 
-    def test_the_least_recently_used_entry_goes_first(self, empty_memo, monkeypatch):
-        monkeypatch.setattr(taylorseries, "_SERIES_CAP", 3)
-        computed = []
-        real = taylorseries.power_sums
-
-        def counting(*args):
-            computed.append(args[0])
-            return real(*args)
-
-        monkeypatch.setattr(taylorseries, "power_sums", counting)
-        a, b, c, d = (word(fwd=1, spacing=n) for n in (1, 2, 3, 4))
-        for expr in (a, b, c, b, a):  # the last two are read, and drop nothing
+    def test_the_least_recently_used_entry_goes_first(self, empty_cache):
+        cap = empty_cache.cache_info().maxsize
+        exprs = [word(fwd=1, spacing=n) for n in range(1, cap + 2)]
+        a, b, c = exprs[:3]
+        for expr in exprs[:cap]:
             error_series(expr, 4)
-        assert len(empty_memo) == 3 and len(computed) == 3
-        error_series(d, 4)  # drops c, the least recently used
-        for expr in (a, b, d):
+        for expr in (b, a):  # read, and drop nothing: c is now the least recent
             error_series(expr, 4)
-        assert len(empty_memo) == 3 and len(computed) == 4
-        error_series(c, 4)
-        assert len(computed) == 5
+        assert size_and_misses(empty_cache) == (cap, cap)
+        error_series(exprs[cap], 4)  # drops c
+        for expr in (a, b, exprs[cap]):
+            error_series(expr, 4)
+        assert size_and_misses(empty_cache) == (cap, cap + 1)
+        error_series(c, 4)  # computed afresh, and drops exprs[3]
+        error_series(exprs[3], 4)
+        assert size_and_misses(empty_cache) == (cap, cap + 3)
 
     def test_a_deeper_request_extends_and_a_shallower_one_reads_the_prefix(
-        self, empty_memo, monkeypatch
+        self, empty_cache, monkeypatch
     ):
         starts = []
         real = taylorseries.power_sums
@@ -411,8 +427,71 @@ class TestSeriesMemo:
         monkeypatch.setattr(taylorseries, "power_sums", recording)
         for truncation in (6, 9, 4, 9, 12):
             error_series(word(cent=3, avg=1), truncation)
-        # computed from degree 0, extended past 6 and past 9; the rest were read
-        assert starts == [0, 7, 10]
+        # checked from degree 0 through the lead 3, computed past the lead,
+        # extended past 6 and past 9; the rest were read
+        assert starts == [0, 4, 7, 10]
+
+    def test_concurrent_requests_equal_the_uncached_loop(self, empty_cache):
+        words = [word(fwd=2), word(cent=3, avg=1), word(fwd=1, bwd=2, spacing=3), word(avg=2, fwd=1)]
+        depths = (1, 4, 9, 16, 25, 36)  # deeper and shallower, in shuffled order below
+        requests = [(expr, expr.diff_order + depth) for expr in words for depth in depths]
+        requests.append((None, 5))  # a bad node set
+        bad = {Fraction(1, 3): Fraction(1, 7)}
+        start = threading.Barrier(8)
+
+        def client(seed):
+            got, errors = [], []
+            order = random.Random(seed).sample(requests, len(requests))
+            start.wait(timeout=60)
+            for expr, truncation in order:
+                if expr is None:
+                    with pytest.raises(ValueError) as excinfo:
+                        series_from_nodes(bad, 1, truncation)
+                    errors.append(str(excinfo.value))
+                else:
+                    got.append((expr, truncation, error_series(expr, truncation)))
+            return got, errors
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so requests interleave
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for round_ in range(20):  # each round from a cleared cache
+                    empty_cache.cache_clear()
+                    seeds = range(8 * round_, 8 * round_ + 8)
+                    results = list(pool.map(client, seeds, timeout=60))
+                    for got, errors in results:
+                        assert errors == ["nodes do not annihilate degree 0: moment sum 1/7"]
+                        for expr, truncation, series in got:
+                            want = power_sum_series(expand(expr), expr.diff_order, truncation)
+                            assert (series.truncation, series.coeffs) == (truncation, want)
+                    assert empty_cache.cache_info().currsize == len(words)
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def test_the_cache_bound_holds_every_family_word_to_the_order_cap(monkeypatch):
+    """Both caches keep every word and node set of every named family to ``MAX_ORDER``."""
+    words = set()
+
+    def recording(m, order, choices, base=None):
+        words.add(base)
+        words.update(choices)
+        return CorrectionFormula(m, base, (), order, Fraction(0), {})
+
+    monkeypatch.setattr(fdcorr.defcor, "general_defcor", recording)
+    for row in FAMILIES:
+        p = row.min_p
+        while row.order(p) <= MAX_ORDER:
+            row.build(p)
+            p += 1
+    # the uncached expansion, so the test leaves the word cache as it found it
+    node_sets = {
+        (*node_lattice(gridops._expansion.__wrapped__(w).items()), w.diff_order) for w in words
+    }
+    assert len(words) == len(node_sets) == 997
+    for cache in (gridops._expansion, taylorseries._kept):
+        assert cache.cache_info().maxsize == gridops._CACHE_SIZE >= 997
 
 
 class TestValidation:
