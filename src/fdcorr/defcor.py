@@ -26,7 +26,9 @@ written in; the row gives the rest of one :func:`general_defcor` call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .exactmath import Rational, format_rational
@@ -137,17 +139,24 @@ def general_defcor(
     # The residual is ``seed - sum_t c_t e_t``, evaluated only where it is
     # read: a step reads just the first nonzero entry, and the word of
     # order ``l`` changes no entry at or below ``l`` except ``l`` itself,
-    # which it zeroes, so every entry before the next scan is final.
-    corrections: list[tuple[Rational, OperatorExpr, Mapping[int, Rational]]] = []
+    # which it zeroes, so every entry before the next scan is final.  Each
+    # entry is one integer sum of ``(num, den)`` pairs over their ``lcm``; a
+    # ``Fraction`` is made only of the nonzero entry that ends the scan.
+    # ``(c_t, W_t, -c_t as (num, den), e_t)`` per correction
+    corrections: list[tuple[Rational, OperatorExpr, int, int, Mapping[int, Rational]]] = []
     queue = iter(choices)
     leading = m
     while True:
         for leading in range(leading + 1, truncation + 1):
-            residual = seed.get(leading, 0)
-            for coeff, _, coeffs in corrections:
+            pairs = [seed[leading].as_integer_ratio()] if leading in seed else []
+            for _, _, c_num, c_den, coeffs in corrections:
                 if leading in coeffs:
-                    residual -= coeff * coeffs[leading]
-            if residual:
+                    n, d = coeffs[leading].as_integer_ratio()
+                    pairs.append((c_num * n, c_den * d))
+            den = math.lcm(*(d for _, d in pairs))
+            total = sum(n * (den // d) for n, d in pairs)
+            if total:
+                residual = Fraction(total, den)
                 break
         else:
             raise ValueError(
@@ -168,15 +177,17 @@ def general_defcor(
                 f"word of differentiation order {choice.diff_order} cannot "
                 f"cancel the surviving u^({leading}) term"
             )
-        corrections.append((residual, choice, error_series(choice, truncation).coeffs))
+        c_num, c_den = residual.as_integer_ratio()
+        coeffs = error_series(choice, truncation).coeffs
+        corrections.append((residual, choice, -c_num, c_den, coeffs))
 
     return CorrectionFormula(
         m=m,
         base_expr=base,
-        terms=tuple((coeff, expr) for coeff, expr, _ in corrections),
+        terms=tuple((coeff, expr) for coeff, expr, *_ in corrections),
         order=achieved,
         error_constant=residual,
-        family_coefficients={expr.diff_order: coeff for coeff, expr, _ in corrections},
+        family_coefficients={expr.diff_order: coeff for coeff, expr, *_ in corrections},
     )
 
 

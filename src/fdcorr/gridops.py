@@ -100,7 +100,7 @@ def word(
     spacing: RationalLike = 1,
 ) -> OperatorExpr:
     """Shorthand constructor for :class:`OperatorExpr`."""
-    return OperatorExpr(fwd, bwd, cent, avg, Fraction(shift), Fraction(spacing))
+    return OperatorExpr(fwd, bwd, cent, avg, shift, spacing)
 
 
 def expand(expr: OperatorExpr) -> dict[Rational, Rational]:

@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .defcor import CorrectionFormula
 from .exactmath import (
-    Rational, RationalLike, format_rational, lattice, node_lattice, power_sums
+    Rational, RationalLike, format_rational, lattice, node_lattice, power_sums, ratios
 )
 from .gridops import expand
 
@@ -89,7 +89,8 @@ def flatten(formula: CorrectionFormula) -> Stencil:
     Requires every word to be anchored at the same evaluation point; words
     with different spacing factors merge fine because expansions are already
     expressed against the global spacing.  The moment conditions implied by
-    the formula's claimed order are re-checked on the merged nodes.
+    the formula's claimed order are re-checked on the merged nodes.  A
+    coefficient that is not an ``int`` or ``Fraction`` raises ``TypeError``.
     """
     anchors = {formula.base_expr.base_shift}
     anchors.update(expr.base_shift for _, expr in formula.terms)
@@ -100,14 +101,11 @@ def flatten(formula: CorrectionFormula) -> Stencil:
         )
     # Offsets go onto one lattice; each coefficient-times-weight product is an
     # integer pair ``(num, den)``, and the pairs go over one common ``den``.
-    words = [(1, expand(formula.base_expr))]
-    words += [(-coeff, expand(expr)) for coeff, expr in formula.terms]
-    points, scale = lattice(o for _, nodes in words for o in nodes)
-    products = [
-        (c.numerator * w.numerator, c.denominator * w.denominator)
-        for c, nodes in words
-        for w in nodes.values()
-    ]
+    coeffs = ratios([coeff for coeff, _ in formula.terms])
+    words = [((1, 1), expand(formula.base_expr))]
+    words += [((-n, d), expand(expr)) for (n, d), (_, expr) in zip(coeffs, formula.terms)]
+    points, scale = lattice(r for _, nodes in words for r in ratios(nodes))
+    products = [(n * wn, d * wd) for (n, d), nodes in words for wn, wd in ratios(nodes.values())]
     den = math.lcm(*(d for _, d in products))
     weights = [n * (den // d) for n, d in products]
     merged: dict[int, int] = {}
@@ -203,12 +201,13 @@ def verify(stencil: Stencil) -> StencilCheck:
     """Check every moment condition and recompute the error constant.
 
     Failures are reported, not raised, so callers can decide what a broken
-    stencil means for them.
+    stencil means for them; a node that is not an ``int`` or ``Fraction``
+    raises ``TypeError``.
     """
     m, top = stencil.m, stencil.m + stencil.order
     first_failed = failed_value = None
     factorial = 1
-    sums = power_sums(*node_lattice(stencil.nodes()))
+    sums = power_sums(*node_lattice(ratios(stencil.offsets), ratios(stencil.weights)))
     for r, (total, den) in zip(range(top + 1), sums):
         factorial *= r or 1
         if r == top:

@@ -16,8 +16,10 @@ exact, so ``e_i`` is the same ``Fraction`` a rational loop would give.
 
 Many formulas share words, so :func:`series_from_nodes` keeps each node
 set's coefficients for the rest of the process in a ``functools.lru_cache``
-keyed by that integer lattice and the lead, which checks the moments
-through the lead once.  A series to truncation ``T`` is a prefix of the same
+keyed by the nodes' ``(offset, weight)`` integer ratios, in dict order, and
+the lead.  A miss builds the lattice, checks the moments through the lead
+once and keeps the lattice with the series, so a hit costs only the ratios.
+A series to truncation ``T`` is a prefix of the same
 series to any deeper ``T'``: a deeper request extends the kept entry from
 where it stopped, a shallower one reads its prefix, and either way every
 coefficient is the ``Fraction`` a fresh computation gives.
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .exactmath import Rational, node_lattice, power_sums
+from .exactmath import Rational, node_lattice, power_sums, ratios
 from .gridops import _CACHE_SIZE, OperatorExpr, expand
 
 __all__ = [
@@ -74,8 +76,10 @@ def series_from_nodes(
     """Error series of ``k**-lead * sum w_j u(x + o_j k)`` from raw nodes.
 
     Raises if the node sums do not annihilate all powers below ``lead`` or
-    fail to reproduce the lead derivative with coefficient exactly 1.
-    Each node set's coefficients are kept by :func:`_kept`: a deeper
+    fail to reproduce the lead derivative with coefficient exactly 1, and
+    with ``TypeError`` if an offset or weight is neither an ``int`` nor a
+    ``Fraction``.  Each node set's lattice and coefficients are kept by
+    :func:`_kept`, keyed by the nodes' integer ratios and ``lead``: a deeper
     truncation extends them, a shallower one reads their prefix.  Every call
     returns a fresh ``coeffs`` dict.
     """
@@ -83,30 +87,31 @@ def series_from_nodes(
         raise ValueError(
             f"truncation must exceed the lead order {lead}, got {truncation}"
         )
-    points, scale, terms, den = node_lattice(nodes.items())
-    kept = _kept(points, scale, terms, den, lead)
-    done, coeffs = kept[0]
+    kept = _kept(tuple(ratios(nodes)), tuple(ratios(nodes.values())), lead)
+    lattice, (done, coeffs) = kept
     if truncation > done:
         coeffs = dict(coeffs)
         factorial = math.factorial(done)
-        sums = power_sums(points, scale, terms, den, done + 1)
+        sums = power_sums(*lattice, done + 1)
         for i, (total, den_i) in zip(range(done + 1, truncation + 1), sums):
             factorial *= i
             if total:
                 coeffs[i] = Fraction(total, den_i * factorial)
-        kept[0] = truncation, coeffs
+        kept[1] = truncation, coeffs
     prefix = {i: c for i, c in coeffs.items() if i <= truncation}
     return ErrorSeries(lead=lead, coeffs=prefix, truncation=truncation)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _kept(points, scale, terms, den, lead) -> list[tuple[int, dict[int, Rational]]]:
-    # ``[(truncation, coeffs)]``, the node set's deepest series so far, once
-    # its moments through ``lead`` pass; a call that raises keeps nothing.
-    # The one write, ``kept[0] = ...``, swaps in a new pair and changes no dict
-    # a caller or thread may be reading.  It needs no lock: of two threads
-    # extending at once the later store wins, which loses depth, never a term.
-    sums = power_sums(points, scale, terms, den, 0)
+def _kept(offsets, weights, lead) -> list:
+    # ``[lattice, (truncation, coeffs)]``: the node set's lattice and its
+    # deepest series so far, once its moments through ``lead`` pass; a call
+    # that raises keeps nothing.  The one write, ``kept[1] = ...``, swaps in a
+    # new pair and changes no dict a caller or thread may be reading.  It needs
+    # no lock: of two threads extending at once the later store wins, which
+    # loses depth, never a term.
+    lattice = node_lattice(offsets, weights)
+    sums = power_sums(*lattice, 0)
     for i, (total, den_i) in zip(range(lead), sums):
         if total:
             raise ValueError(
@@ -118,7 +123,7 @@ def _kept(points, scale, terms, den, lead) -> list[tuple[int, dict[int, Rational
             f"lead moment is {Fraction(total, den_i)}, expected {lead}! "
             "for a normalized derivative approximation"
         )
-    return [(lead, {})]
+    return [lattice, (lead, {})]
 
 
 def error_series(expr: OperatorExpr, truncation: int) -> ErrorSeries:

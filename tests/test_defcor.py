@@ -4,12 +4,15 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fdcorr import (
     DegenerateChoiceError,
     backward_centered,
     centered_average_formula,
     centered_formula,
+    default_truncation,
     error_series,
     flatten,
     forward_centered,
@@ -349,6 +352,98 @@ class TestGeneralEngine:
         assert d["terms"][0]["coeff"] == "1/24"
         assert d["terms"][0]["operator"]["cent"] == 1
         assert d["family_coefficients"] == {"3": "1/24"}
+
+
+
+def fraction_defcor(m, order, choices, base):
+    """Reference: the engine's residual scan as a plain ``Fraction`` loop.
+
+    Returns ``(terms, order, error_constant, family_coefficients)``.
+    """
+    truncation = default_truncation(m, order)
+    seed = error_series(base, truncation).coeffs
+    corrections = []
+    queue = iter(choices)
+    leading = m
+    while True:
+        for leading in range(leading + 1, truncation + 1):
+            residual = seed.get(leading, Fraction(0))
+            for coeff, _, coeffs in corrections:
+                if leading in coeffs:
+                    residual -= coeff * coeffs[leading]
+            if residual:
+                break
+        else:
+            raise ValueError(
+                f"error expansion vanishes through truncation {truncation}; "
+                "cannot determine the achieved order"
+            )
+        achieved = leading - m
+        if achieved >= order:
+            break
+        choice = next(queue, None)
+        if choice is None:
+            raise ValueError(
+                f"ran out of correction words at order {achieved} "
+                f"(target {order}); next needs differentiation order {leading}"
+            )
+        if choice.diff_order != leading:
+            raise DegenerateChoiceError(
+                f"word of differentiation order {choice.diff_order} cannot "
+                f"cancel the surviving u^({leading}) term"
+            )
+        corrections.append((residual, choice, error_series(choice, truncation).coeffs))
+    terms = tuple((coeff, expr) for coeff, expr, _ in corrections)
+    return terms, achieved, residual, {expr.diff_order: coeff for coeff, expr in terms}
+
+
+@st.composite
+def word_of_order(draw, d):
+    """A word of differentiation order ``d``: any fwd/bwd/cent split, avg, shift and step."""
+    fwd = draw(st.integers(0, d))
+    bwd = draw(st.integers(0, d - fwd))
+    return word(
+        fwd=fwd,
+        bwd=bwd,
+        cent=d - fwd - bwd,
+        avg=draw(st.integers(0, 2)),
+        shift=draw(st.sampled_from([0, Fraction(1, 2), -1])),
+        spacing=draw(st.sampled_from([1, 3, Fraction(1, 2), Fraction(2, 3)])),
+    )
+
+
+@st.composite
+def engine_requests(draw):
+    """``(m, order, choices, base)``; each word's order mostly targets the next term."""
+    m = draw(st.integers(0, 3))
+    base = draw(word_of_order(m))
+    order = draw(st.integers(1, 6))
+    choices, lead = [], m
+    for _ in range(draw(st.integers(0, 6))):
+        lead += draw(st.sampled_from([1, 1, 2, 2, 0, 3]))
+        choices.append(draw(word_of_order(lead)))
+    return m, order, choices, base
+
+
+@given(engine_requests())
+@example((0, 2, [], word()))  # the identity has no error terms
+@example((1, 4, [word(fwd=2)], word(fwd=1)))  # runs out of words
+@example((1, 4, [word(fwd=2, bwd=2)], word(cent=1)))  # symmetry removed u^(4)
+@settings(max_examples=300, deadline=None)
+def test_engine_equals_the_fraction_reference(request):
+    m, order, choices, base = request
+    try:
+        want = fraction_defcor(m, order, choices, base)
+    except ValueError as expected:
+        with pytest.raises(ValueError) as got:
+            general_defcor(m, order, choices, base=base)
+        assert (type(got.value), str(got.value)) == (type(expected), str(expected))
+        return
+    formula = general_defcor(m, order, choices, base=base)
+    got = (formula.terms, formula.order, formula.error_constant, formula.family_coefficients)
+    assert got == want
+    coeffs = [formula.error_constant, *(c for c, _ in formula.terms)]
+    assert all(type(c) is Fraction for c in coeffs)
 
 
 def every_formula_to_order_12():

@@ -25,6 +25,7 @@ from fdcorr import (
 )
 from fdcorr import numdiff
 from fdcorr.cli import formula_from_id
+from fdcorr.defcor import catalog
 
 C4 = flatten(centered_formula(1))
 B6 = flatten(standard_backward(6))
@@ -215,6 +216,25 @@ class TestApplyStencilExact:
         value = apply_stencil(C4, f, 0.25, Fraction(1, 8))
         assert type(value) is float and set(seen) == {float}
         assert value == apply_stencil(C4, math.exp, 0.25, 0.125)
+
+
+def test_every_error_constant_to_order_30_shows_through_evaluation():
+    """``Q(u)(x0) - u^(m)(x0) == C h**q`` exactly for ``u = t**(m+q) / (m+q)!``.
+
+    ``u``'s only derivative past ``u^(m)`` that the stencil sees is
+    ``u^(m+q) = 1``, so the evaluation error is the error constant's term
+    alone.  The sum runs through ``exactmath.node_sum``, not the moment sums
+    that ``verify`` and the engine use.
+    """
+    x0, h = Fraction(1, 3), Fraction(1, 7)
+    wrong = []
+    formulas = list(catalog(30))
+    for formula in formulas:
+        q, n = formula.order, formula.m + formula.order
+        value = apply_stencil(flatten(formula), lambda t: t**n / math.factorial(n), x0, h)
+        if value - x0**q / math.factorial(q) != formula.error_constant * h**q:
+            wrong.append(formula.label)
+    assert len(formulas) == 172 and wrong == []
 
 
 class TestConvergenceStudy:

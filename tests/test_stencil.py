@@ -255,6 +255,42 @@ class TestVerify:
         with pytest.raises(ValueError, match=f"^{message}$"):
             Stencil(m=1, order=2, offsets=offsets, weights=weights, error_constant=frac(1, 6))
 
+    @pytest.mark.parametrize(
+        "offsets, weights, bad",
+        [
+            ((-1.0, 0.0, 1.0), (frac(1), frac(-2), frac(1)), "-1.0"),
+            ((frac(-1), frac(0), frac(1)), (1, -2.0, 1), "-2.0"),
+        ],
+    )
+    def test_float_nodes_are_named_in_a_type_error(self, offsets, weights, bad):
+        st = Stencil(m=2, order=2, offsets=offsets, weights=weights, error_constant=frac(1, 12))
+        with pytest.raises(TypeError) as excinfo:
+            verify(st)
+        assert str(excinfo.value) == f"exact rational expected (int or Fraction), got {bad}"
+
+    def test_int_nodes_pass(self):
+        ints = Stencil(
+            m=2, order=2, offsets=(-1, 0, 1), weights=(1, -2, 1), error_constant=frac(1, 12)
+        )
+        assert verify(ints) == verify(flatten(general_defcor(2, 2, [], base=word(fwd=1, bwd=1))))
+        assert verify(ints).ok
+
+
+class TestFlattenCoefficientTypes:
+    # the step-2 forward quotient has e_2 = 1, so its one coefficient is whole
+    formula = general_defcor(1, 2, [word(fwd=2)], base=word(fwd=1, spacing=2))
+
+    def test_an_int_coefficient_flattens_like_its_fraction(self):
+        ((coeff, expr),) = self.formula.terms
+        assert coeff == 1
+        assert flatten(replace(self.formula, terms=((1, expr),))) == flatten(self.formula)
+
+    def test_a_float_coefficient_is_named_in_a_type_error(self):
+        ((_, expr),) = self.formula.terms
+        with pytest.raises(TypeError) as excinfo:
+            flatten(replace(self.formula, terms=((1.0, expr),)))
+        assert str(excinfo.value) == "exact rational expected (int or Fraction), got 1.0"
+
 
 def fraction_flatten(formula):
     """Reference: the plain ``Fraction`` sum of ``coeff * expand(word)`` over the words."""

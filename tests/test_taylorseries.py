@@ -25,7 +25,7 @@ from fdcorr import (
 from fdcorr import gridops, taylorseries
 from fdcorr.cli import MAX_ORDER
 from fdcorr.defcor import FAMILIES, CorrectionFormula
-from fdcorr.exactmath import node_lattice
+from fdcorr.exactmath import ratios
 
 HALF = Fraction(1, 2)
 
@@ -485,10 +485,10 @@ def test_the_cache_bound_holds_every_family_word_to_the_order_cap(monkeypatch):
         while row.order(p) <= MAX_ORDER:
             row.build(p)
             p += 1
-    # the uncached expansion, so the test leaves the word cache as it found it
-    node_sets = {
-        (*node_lattice(gridops._expansion.__wrapped__(w).items()), w.diff_order) for w in words
-    }
+    # the series cache's keys, from the uncached expansion, so the test leaves
+    # the word cache as it found it
+    expansions = [(gridops._expansion.__wrapped__(w), w.diff_order) for w in words]
+    node_sets = {(tuple(ratios(n)), tuple(ratios(n.values())), lead) for n, lead in expansions}
     assert len(words) == len(node_sets) == 997
     for cache in (gridops._expansion, taylorseries._kept):
         assert cache.cache_info().maxsize == gridops._CACHE_SIZE >= 997
@@ -506,6 +506,26 @@ class TestValidation:
             series_from_nodes(
                 {Fraction(1): Fraction(2), Fraction(0): Fraction(-2)}, 1, 4
             )
+
+    @pytest.mark.parametrize(
+        "nodes, bad",
+        [
+            ({0.0: -1.0, 1.0: 1.0}, "0.0"),
+            ({Fraction(0): Fraction(-1), Fraction(1): 1.0}, "1.0"),
+        ],
+    )
+    def test_float_nodes_are_named_in_a_type_error(self, empty_cache, nodes, bad):
+        # the equal exact node set is kept, and a float set must not read it
+        exact = series_from_nodes({Fraction(0): Fraction(-1), Fraction(1): Fraction(1)}, 1, 3)
+        with pytest.raises(TypeError) as excinfo:
+            series_from_nodes(nodes, 1, 3)
+        assert str(excinfo.value) == f"exact rational expected (int or Fraction), got {bad}"
+        assert exact.coeffs == {2: Fraction(1, 2), 3: Fraction(1, 6)}
+
+    def test_int_nodes_give_the_fraction_series(self, empty_cache):
+        ints = series_from_nodes({0: -1, 1: 1}, 1, 3)
+        assert ints.coeffs == {2: Fraction(1, 2), 3: Fraction(1, 6)}
+        assert all(type(c) is Fraction for c in ints.coeffs.values())
 
     def test_coefficient_past_truncation_rejected(self):
         s = error_series(word(fwd=1), 4)
