@@ -19,10 +19,10 @@ set's coefficients for the rest of the process in a ``functools.lru_cache``
 keyed by the nodes' ``(offset, weight)`` integer ratios, in dict order, and
 the lead.  A miss builds the lattice, checks the moments through the lead
 once and keeps the lattice with the series, so a hit costs only the ratios.
-A series to truncation ``T`` is a prefix of the same
-series to any deeper ``T'``: a deeper request extends the kept entry from
-where it stopped, a shallower one reads its prefix, and either way every
-coefficient is the ``Fraction`` a fresh computation gives.
+A series to truncation ``T`` is a prefix of the same series to any deeper
+``T'``: a deeper request extends the kept entry from where it stopped, a
+shallower one reads its prefix, and either way every coefficient is the
+``Fraction`` a fresh computation gives.
 """
 
 from __future__ import annotations
@@ -75,10 +75,10 @@ def series_from_nodes(
 ) -> ErrorSeries:
     """Error series of ``k**-lead * sum w_j u(x + o_j k)`` from raw nodes.
 
-    Raises if the node sums do not annihilate all powers below ``lead`` or
-    fail to reproduce the lead derivative with coefficient exactly 1, and
-    with ``TypeError`` if an offset or weight is neither an ``int`` nor a
-    ``Fraction``.  Each node set's lattice and coefficients are kept by
+    Raises ``ValueError`` if the node sums do not annihilate all powers below
+    ``lead`` or fail to reproduce the lead derivative with coefficient
+    exactly 1, and ``TypeError`` if an offset or weight is neither an
+    ``int`` nor a ``Fraction``.  Each node set's lattice and coefficients are kept by
     :func:`_kept`, keyed by the nodes' integer ratios and ``lead``: a deeper
     truncation extends them, a shallower one reads their prefix.  Every call
     returns a fresh ``coeffs`` dict.
