@@ -167,16 +167,15 @@ def _parse_polynomial(text: str) -> dict[int, float]:
         match = re.fullmatch(r"([+-]?)(\d+(?:\.\d+)?|\d+/\d+)?(x(?:\^(\d+))?)?", term)
         if not match or (match.group(2) is None and match.group(3) is None):
             raise FormulaIdError(f"cannot parse polynomial term {term!r}")
-        sign = -1.0 if match.group(1) == "-" else 1.0
-        coeff_text = match.group(2)
-        coeff = float(Fraction(coeff_text)) if coeff_text else 1.0
-        if match.group(3) is None:
-            degree = 0
-        elif match.group(4) is None:
-            degree = 1
-        else:
-            degree = int(match.group(4))
-        poly[degree] = poly.get(degree, 0.0) + sign * coeff
+        sign, coeff_text, power, degree_text = match.groups()
+        try:
+            coeff = float(Fraction(coeff_text)) if coeff_text else 1.0
+            degree = int(degree_text) if degree_text else int(power is not None)
+            float(degree)  # the derivative's coefficient is ``coeff * degree``
+        except (ZeroDivisionError, OverflowError, ValueError):
+            # a zero denominator, a number past float range or past int's digit limit
+            raise FormulaIdError(f"cannot parse polynomial term {term!r}") from None
+        poly[degree] = poly.get(degree, 0.0) + (-coeff if sign == "-" else coeff)
     return poly
 
 

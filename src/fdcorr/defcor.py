@@ -26,12 +26,11 @@ written in; the row gives the rest of one :func:`general_defcor` call.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .exactmath import Rational, format_rational
+from .exactmath import Rational, format_rational, lattice
 from .gridops import OperatorExpr, word
 from .taylorseries import default_truncation, error_series
 
@@ -140,7 +139,7 @@ def general_defcor(
     # read: a step reads just the first nonzero entry, and the word of
     # order ``l`` changes no entry at or below ``l`` except ``l`` itself,
     # which it zeroes, so every entry before the next scan is final.  Each
-    # entry is one integer sum of ``(num, den)`` pairs over their ``lcm``; a
+    # entry is one integer sum of ``(num, den)`` pairs on their lattice; a
     # ``Fraction`` is made only of the nonzero entry that ends the scan.
     # ``(c_t, W_t, -c_t as (num, den), e_t)`` per correction
     corrections: list[tuple[Rational, OperatorExpr, int, int, Mapping[int, Rational]]] = []
@@ -153,8 +152,8 @@ def general_defcor(
                 if leading in coeffs:
                     n, d = coeffs[leading].as_integer_ratio()
                     pairs.append((c_num * n, c_den * d))
-            den = math.lcm(*(d for _, d in pairs))
-            total = sum(n * (den // d) for n, d in pairs)
+            terms, den = lattice(pairs)
+            total = sum(terms)
             if total:
                 residual = Fraction(total, den)
                 break

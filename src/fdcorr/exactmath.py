@@ -4,11 +4,13 @@ Every coefficient, node offset, and weight in this package is a
 :class:`fractions.Fraction`, so formula generation never rounds.  The moment
 sums collected here are the identities that make difference words act like
 derivatives on polynomials; everything downstream leans on them.
-:func:`power_sums` is the one kernel behind every node moment: it runs on
-the integer lattices :func:`node_lattice` scales the nodes onto, so each
-moment is an integer sum.  :func:`ratios` reads each exact value once, as
-its integer ratio, and rejects a float, which would otherwise pass.
-:func:`node_sum` is the one weighted node sum behind every exact evaluation.
+:func:`ratios` reads each exact value once, as its integer ratio, and
+rejects a float, which would otherwise pass; :func:`exact` holds entry
+points that also take a ``str`` to the same rule.  :func:`lattice` is the
+one place rationals go over a common denominator, so every exact sum is an
+integer sum: :func:`power_sums`, the one kernel behind every node moment,
+runs on the lattices of a node set's offsets and weights.  :func:`node_sum`
+is the one weighted node sum behind every exact evaluation.
 """
 
 from __future__ import annotations
@@ -50,14 +52,21 @@ def moment_sum(m: int, r: RationalLike, p: int) -> Rational:
         raise ValueError(f"moment_sum: m must be positive, got {m}")
     if p < 0:
         raise ValueError(f"moment_sum: p must be nonnegative, got {p}")
-    shift = Fraction(r)
+    shift = exact(r)
     return sum((-1) ** j * binom(m, j) * (m + shift - j) ** p for j in range(m + 1))
 
 
-# ``ratios``, ``lattice``, ``node_lattice``, ``power_sums`` and ``node_sum`` stay
-# out of ``__all__``: the exported names are the ones the benchmark's tracer
-# counts calls of.
+# ``exact``, ``ratios``, ``lattice``, ``power_sums`` and ``node_sum`` stay out
+# of ``__all__``: the exported names are the ones the benchmark's tracer counts
+# calls of.
 _EXACT = frozenset((int, Fraction))
+
+
+def exact(value: RationalLike) -> Rational:
+    """``Fraction(value)`` of an ``int``, ``Fraction`` or ``str``; a float fails as in :func:`ratios`."""
+    if not isinstance(value, str):
+        ratios([value])
+    return Fraction(value)
 
 
 def ratios(values: Collection[Rational]) -> list[tuple[int, int]]:
@@ -74,28 +83,14 @@ def ratios(values: Collection[Rational]) -> list[tuple[int, int]]:
 
 
 def lattice(pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
-    """Integers ``n_j`` and the least common denominator ``d``: ``pairs[j] == n_j / d``.
+    """Integers ``n_j`` over ``d``, the ``lcm`` of the denominators: ``pairs[j] == n_j / d``.
 
-    Each pair is an integer ratio ``(num, den)`` from :func:`ratios`, so no
-    ``Fraction`` is read here.
+    Each pair is an integer ratio ``(num, den)``, from :func:`ratios` or a
+    product of them, so no ``Fraction`` is read here; no pairs give ``([], 1)``.
     """
     pairs = list(pairs)
     d = math.lcm(*(q for _, q in pairs))
     return [n * (d // q) for n, q in pairs], d
-
-
-def node_lattice(
-    offsets: Iterable[tuple[int, int]], weights: Iterable[tuple[int, int]]
-) -> tuple[tuple[int, ...], int, tuple[int, ...], int]:
-    """``(a, L, b, D)``: offsets ``o_j == a_j / L``, weights ``w_j == b_j / D``.
-
-    Takes the :func:`ratios` of the offsets and of the weights: the key
-    ``taylorseries`` keeps each node set's series under, from which a cache
-    miss builds this lattice once and keeps it beside the series.
-    """
-    points, scale = lattice(offsets)
-    terms, den = lattice(weights)
-    return tuple(points), scale, tuple(terms), den
 
 
 def power_sums(
@@ -103,7 +98,8 @@ def power_sums(
 ) -> Iterator[tuple[int, int]]:
     """Moments ``sum_j w_j o_j**i`` for ``i = start, start + 1, ...`` as ``(num, den)``.
 
-    On the lattice of :func:`node_lattice`, moment ``i`` is the integer sum
+    With offsets ``o_j == a_j / L`` and weights ``w_j == b_j / D``, the
+    :func:`lattice` of each, moment ``i`` is the integer sum
     ``sum_j b_j a_j**i`` over ``D * L**i``, left unreduced so callers divide
     once (by ``i!`` too, for a Taylor term).  The running products live only
     as long as the iterator.

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .exactmath import Rational, RationalLike, format_rational, node_sum
+from .exactmath import Rational, RationalLike, exact, format_rational, node_sum
 
 __all__ = [
     "OperatorExpr",
@@ -56,6 +56,7 @@ class OperatorExpr:
     is applied at, in units of the global spacing (used by
     :func:`normalize_composite` to express equivalent re-anchored words).
     ``spacing_factor`` scales the word's step relative to the global spacing.
+    Both are exact (``int``, ``Fraction`` or ``str``); a float raises ``TypeError``.
     """
 
     p_fwd: int = 0
@@ -69,8 +70,8 @@ class OperatorExpr:
         for name in ("p_fwd", "p_bwd", "p_cent", "p_avg"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        object.__setattr__(self, "base_shift", Fraction(self.base_shift))
-        spacing = Fraction(self.spacing_factor)
+        object.__setattr__(self, "base_shift", exact(self.base_shift))
+        spacing = exact(self.spacing_factor)
         if spacing <= 0:
             raise ValueError("spacing_factor must be positive")
         object.__setattr__(self, "spacing_factor", spacing)
@@ -110,27 +111,29 @@ def expand(expr: OperatorExpr) -> dict[Rational, Rational]:
     spacing factor is folded into offsets and weights so the result is always
     expressed against the global spacing.  The word's differentiation order
     and anchor stay on the word (``expr.diff_order``, ``expr.base_shift``).
-    Each distinct word is expanded once per process; every call returns a
+    Each operator is expanded once per process, keyed by the five integers
+    its expansion depends on, so words equal as operators (``cent^2`` and
+    ``fwd bwd``, or one word at two anchors) share it; every call returns a
     fresh dict, so callers may change it.
     """
-    return dict(_expansion(expr))
+    s = expr.spacing_factor
+    low = -(2 * expr.p_bwd + expr.p_cent + expr.p_avg)
+    return dict(_expansion(expr.diff_order, low, expr.p_avg, s.numerator, s.denominator))
 
 
-# Entries kept here and in ``taylorseries._kept``: the named families up to the
-# order cap ``cli.MAX_ORDER`` use 997 distinct words over 997 distinct node sets.
+# One entry per operator here, per node set in ``taylorseries._kept``: the named
+# families up to the order cap ``cli.MAX_ORDER`` use 997 of each.
 _CACHE_SIZE = 1024
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _expansion(expr: OperatorExpr) -> dict[Rational, Rational]:
-    # (E - 1)**n as alternating binomials, then one (E + 1) per average.
-    n = expr.diff_order
+def _expansion(n: int, low: int, p_avg: int, p: int, q: int) -> dict[Rational, Rational]:
+    # Half-steps from ``low``, step ``p/q``: (E - 1)**n as alternating
+    # binomials, then one (E + 1) per average.
     weights = [(-1) ** (n - j) * math.comb(n, j) for j in range(n + 1)]
-    for _ in range(expr.p_avg):
+    for _ in range(p_avg):
         weights = [a + b for a, b in zip(weights + [0], [0] + weights)]
-    low = -(2 * expr.p_bwd + expr.p_cent + expr.p_avg)
-    p, q = expr.spacing_factor.numerator, expr.spacing_factor.denominator
-    scale, den = q**n, 2**expr.p_avg * p**n
+    scale, den = q**n, 2**p_avg * p**n
     return {
         Fraction((low + 2 * j) * p, 2 * q): Fraction(w * scale, den)
         for j, w in enumerate(weights)

@@ -11,7 +11,7 @@ of one at one spacing; :func:`convergence_studies` shares samples among many
 stencils on one grid.  Either way each total starts at ``0.0`` and adds the
 same products in ascending-offset order, and a sample is the same float
 whichever stencil uses it, so results are bit-identical to summing each
-stencil alone over its ``Stencil.float_nodes``.  Without compensated
+stencil alone over its nodes converted to float.  Without compensated
 summation the roundoff plateau at small spacing stays visible.
 """
 
@@ -39,13 +39,13 @@ __all__ = [
 def apply_stencil(s: Stencil, f: Callable, x0: float | Rational, h: float | Rational):
     """Evaluate ``h**-m * sum_j w_j f(x0 + o_j h)``.
 
-    If ``x0`` or ``h`` is a float, the sum runs over ``s.float_nodes``, the
-    offsets and weights the stencil converted to float on its first float
-    evaluation, and the result is a float; nonfinite samples propagate into
-    it, and a warning names the node's exact offset so the source is
-    diagnosable; a nonfinite ``x0`` or ``h`` raises before any sample.  If
-    both are ints or rationals, the shared node sum ``exactmath.node_sum``
-    runs in exact steps, and the result is exact for an exact ``f``.
+    If ``x0`` or ``h`` is a float, the sum runs over the stencil's offsets
+    and weights converted to float, once per call, and the result is a
+    float; nonfinite samples propagate into it, and a warning names the
+    node's exact offset so the source is diagnosable; a nonfinite ``x0`` or
+    ``h`` raises before any sample.  If both are ints or rationals, the
+    shared node sum ``exactmath.node_sum`` runs in exact steps, and the
+    result is exact for an exact ``f``.
     """
     if h <= 0:
         raise ValueError("spacing h must be positive")
@@ -66,8 +66,8 @@ def _column_sums(stencils, f: Callable, x0: float, spacings) -> list[list[float]
     """``sum_j w_j f(x0 + o_j h)`` of each stencil at each spacing, in floats."""
     users: dict[float, list[tuple[int, float, Rational]]] = {}
     for k, s in enumerate(stencils):
-        for exact, (offset, weight) in zip(s.offsets, s.float_nodes):
-            users.setdefault(offset, []).append((k, weight, exact))
+        for exact, weight in s.nodes():
+            users.setdefault(float(exact), []).append((k, float(weight), exact))
     totals = [[0.0] * len(spacings) for _ in stencils]
     for offset in sorted(users):
         column = [f(x0 + offset * h) for h in spacings]

@@ -20,12 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 from .defcor import CorrectionFormula
 from .exactmath import (
-    Rational, RationalLike, format_rational, lattice, node_lattice, power_sums, ratios
+    Rational, RationalLike, exact, format_rational, lattice, power_sums, ratios
 )
 from .gridops import expand
 
@@ -63,11 +62,6 @@ class Stencil:
     def nodes(self) -> list[tuple[Rational, Rational]]:
         return list(zip(self.offsets, self.weights))
 
-    @cached_property
-    def float_nodes(self) -> tuple[tuple[float, float], ...]:
-        """Float ``(offset, weight)`` pairs in offset order, made on first use."""
-        return tuple((float(o), float(w)) for o, w in self.nodes())
-
     def to_json_dict(self) -> dict:
         out = {
             "m": self.m,
@@ -99,15 +93,14 @@ def flatten(formula: CorrectionFormula) -> Stencil:
             "formula terms are anchored at different evaluation points: "
             + ", ".join(sorted(format_rational(a) for a in anchors))
         )
-    # Offsets go onto one lattice; each coefficient-times-weight product is an
-    # integer pair ``(num, den)``, and the pairs go over one common ``den``.
+    # Offsets go onto one lattice, and the coefficient-times-weight products,
+    # each an integer pair ``(num, den)``, onto another.
     coeffs = ratios([coeff for coeff, _ in formula.terms])
     words = [((1, 1), expand(formula.base_expr))]
     words += [((-n, d), expand(expr)) for (n, d), (_, expr) in zip(coeffs, formula.terms)]
     points, scale = lattice(r for _, nodes in words for r in ratios(nodes))
     products = [(n * wn, d * wd) for (n, d), nodes in words for wn, wd in ratios(nodes.values())]
-    den = math.lcm(*(d for _, d in products))
-    weights = [n * (den // d) for n, d in products]
+    weights, den = lattice(products)
     merged: dict[int, int] = {}
     for a, w in zip(points, weights):
         merged[a] = merged.get(a, 0) + w
@@ -142,9 +135,10 @@ def oracle_weights(
     synthetic division and Horner evaluation per node, O(n**2) steps.
     Weights come back in input order.  ``q`` is an optional claimed order
     used only to check the node count can support it (``m + q`` nodes in
-    general; symmetric node sets earn one parity order, so one fewer).
+    general; symmetric node sets earn one parity order, so one fewer).  A
+    float offset raises ``TypeError``.
     """
-    x = [Fraction(o) for o in offsets]
+    x = [exact(o) for o in offsets]
     n = len(x)
     if len(set(x)) != n:
         raise ValueError("offsets must be distinct")
@@ -207,7 +201,7 @@ def verify(stencil: Stencil) -> StencilCheck:
     m, top = stencil.m, stencil.m + stencil.order
     first_failed = failed_value = None
     factorial = 1
-    sums = power_sums(*node_lattice(ratios(stencil.offsets), ratios(stencil.weights)))
+    sums = power_sums(*lattice(ratios(stencil.offsets)), *lattice(ratios(stencil.weights)))
     for r, (total, den) in zip(range(top + 1), sums):
         factorial *= r or 1
         if r == top:

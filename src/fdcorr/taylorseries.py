@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .exactmath import Rational, node_lattice, power_sums, ratios
+from .exactmath import Rational, lattice, power_sums, ratios
 from .gridops import _CACHE_SIZE, OperatorExpr, expand
 
 __all__ = [
@@ -88,11 +88,11 @@ def series_from_nodes(
             f"truncation must exceed the lead order {lead}, got {truncation}"
         )
     kept = _kept(tuple(ratios(nodes)), tuple(ratios(nodes.values())), lead)
-    lattice, (done, coeffs) = kept
+    grid, (done, coeffs) = kept
     if truncation > done:
         coeffs = dict(coeffs)
         factorial = math.factorial(done)
-        sums = power_sums(*lattice, done + 1)
+        sums = power_sums(*grid, done + 1)
         for i, (total, den_i) in zip(range(done + 1, truncation + 1), sums):
             factorial *= i
             if total:
@@ -104,14 +104,14 @@ def series_from_nodes(
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _kept(offsets, weights, lead) -> list:
-    # ``[lattice, (truncation, coeffs)]``: the node set's lattice and its
-    # deepest series so far, once its moments through ``lead`` pass; a call
-    # that raises keeps nothing.  The one write, ``kept[1] = ...``, swaps in a
-    # new pair and changes no dict a caller or thread may be reading.  It needs
-    # no lock: of two threads extending at once the later store wins, which
-    # loses depth, never a term.
-    lattice = node_lattice(offsets, weights)
-    sums = power_sums(*lattice, 0)
+    # ``[grid, (truncation, coeffs)]``: the lattices of the node set's offsets
+    # and weights, and its deepest series so far, once its moments through
+    # ``lead`` pass; a call that raises keeps nothing.  The one write,
+    # ``kept[1] = ...``, swaps in a new pair and changes no dict a caller or
+    # thread may be reading.  It needs no lock: of two threads extending at
+    # once the later store wins, which loses depth, never a term.
+    grid = (*lattice(offsets), *lattice(weights))
+    sums = power_sums(*grid, 0)
     for i, (total, den_i) in zip(range(lead), sums):
         if total:
             raise ValueError(
@@ -123,7 +123,7 @@ def _kept(offsets, weights, lead) -> list:
             f"lead moment is {Fraction(total, den_i)}, expected {lead}! "
             "for a normalized derivative approximation"
         )
-    return [lattice, (lead, {})]
+    return [grid, (lead, {})]
 
 
 def error_series(expr: OperatorExpr, truncation: int) -> ErrorSeries:

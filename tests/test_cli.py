@@ -458,6 +458,30 @@ class TestStudy:
             "fdcorr: error: function 'poly:x^2' overflows at x = -1.5e+300"
         ]
 
+    @pytest.mark.parametrize(
+        "body, term",
+        [
+            ("1/0x^2", "1/0x^2"),  # a zero denominator
+            ("3x-" + "9" * 400 + "x", "-" + "9" * 400 + "x"),  # a coefficient past float range
+            ("x^" + "9" * 5000, "x^" + "9" * 5000),  # a degree past int's digit limit
+            ("x^" + "9" * 400, "x^" + "9" * 400),  # a degree past float range
+        ],
+        ids=["zero-denominator", "huge-coefficient", "long-degree", "huge-degree"],
+    )
+    def test_unreadable_polynomial_term_exits_2_before_any_directory(self, tmp_path, body, term):
+        env = dict(os.environ, PYTHONPATH=str(Path(fdcorr.__file__).parents[1]))
+        csv_dir = tmp_path / "csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "fdcorr.cli", "study", "C4", f"poly:{body}", "0",
+             "--csv-dir", str(csv_dir)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"fdcorr: error: cannot parse polynomial term {term!r}"
+        ]
+        assert not csv_dir.exists()
+
     def test_polynomial_overflowing_after_the_power_exits_2(self, tmp_path):
         # x**2 is finite at x = -6e153, but 9 * x**2 is inf without raising
         env = dict(os.environ, PYTHONPATH=str(Path(fdcorr.__file__).parents[1]))

@@ -45,6 +45,12 @@ class TestMomentSum:
 
     def test_half_shift_below_lead(self):
         assert moment_sum(4, Fraction(1, 2), 2) == 0
+        assert moment_sum(4, "1/2", 4) == 24
+
+    def test_float_shift_is_named_in_a_type_error(self):
+        with pytest.raises(TypeError) as excinfo:
+            moment_sum(4, 0.5, 2)
+        assert str(excinfo.value) == "exact rational expected (int or Fraction), got 0.5"
 
     def test_brute_force_value(self):
         # independent term-by-term evaluation, frozen

@@ -18,6 +18,7 @@ from fdcorr import (
     product_rule_check,
     word,
 )
+from fdcorr import gridops
 
 HALF = Fraction(1, 2)
 
@@ -107,6 +108,19 @@ class TestWord:
         with pytest.raises(ValueError, match=f"^{message}$"):
             word(**kwargs)
 
+    @pytest.mark.parametrize("field", ["shift", "spacing"])
+    @pytest.mark.parametrize("value", [0.1, 2.0], ids=repr)
+    def test_float_shift_or_spacing_is_named_in_a_type_error(self, field, value):
+        with pytest.raises(TypeError) as excinfo:
+            word(cent=1, **{field: value})
+        assert str(excinfo.value) == f"exact rational expected (int or Fraction), got {value!r}"
+
+    @pytest.mark.parametrize("value", [2, Fraction(2, 5), "2/5", " 3 "], ids=repr)
+    def test_exact_shift_and_spacing_pass(self, value):
+        expr = word(cent=1, shift=value, spacing=value)
+        assert expr.base_shift == expr.spacing_factor == Fraction(value)
+        assert type(expr.base_shift) is type(expr.spacing_factor) is Fraction
+
 
 class TestExpand:
     @pytest.mark.parametrize("spacing", [1, 3, Fraction(2, 5)], ids=str)
@@ -161,6 +175,18 @@ class TestExpand:
         expand(word(fwd=2)).clear()
         assert expand(word(fwd=2)) == {0: 1, 1: -2, 2: 1}
         assert expand(word(fwd=2)) is not expand(word(fwd=2))
+
+    def test_words_equal_as_operators_share_one_expansion(self):
+        cache = gridops._expansion
+        cache.cache_clear()
+        try:
+            assert expand(word(cent=2)) == expand(word(fwd=1, bwd=1))
+            shifted = [word(fwd=2, avg=1, shift=s, spacing=Fraction(2, 3)) for s in (0, HALF)]
+            assert expand(shifted[0]) == expand(shifted[1])
+            info = cache.cache_info()
+            assert (info.currsize, info.misses, info.hits) == (2, 2, 2)
+        finally:
+            cache.cache_clear()
 
     def test_spacing_factor_folds_into_global_units(self):
         assert expand(word(cent=1, spacing=3)) == {

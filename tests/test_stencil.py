@@ -112,6 +112,18 @@ class TestOracle:
     def test_unsorted_offsets_keep_input_order(self):
         assert oracle_weights([1, -1, 0], 1) == [frac(1, 2), frac(-1, 2), frac(0)]
 
+    @pytest.mark.parametrize(
+        "offsets, bad", [([-0.1, 0.0, 0.1], "-0.1"), ([-1, frac(0), 1.0], "1.0")]
+    )
+    def test_float_offsets_are_named_in_a_type_error(self, offsets, bad):
+        with pytest.raises(TypeError) as excinfo:
+            oracle_weights(offsets, 1)
+        assert str(excinfo.value) == f"exact rational expected (int or Fraction), got {bad}"
+
+    def test_str_offsets_read_as_fractions(self):
+        assert oracle_weights(["-1/10", "0", "1/10"], 1) == [frac(-5), frac(0), frac(5)]
+        assert oracle_weights(["-1/10", 0, frac(1, 10)], 1) == [frac(-5), frac(0), frac(5)]
+
     @given(
         st.lists(
             st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 5, 7])),

@@ -471,7 +471,7 @@ class TestSeriesMemo:
 
 
 def test_the_cache_bound_holds_every_family_word_to_the_order_cap(monkeypatch):
-    """Both caches keep every word and node set of every named family to ``MAX_ORDER``."""
+    """Both caches keep every operator and node set of every named family to ``MAX_ORDER``."""
     words = set()
 
     def recording(m, order, choices, base=None):
@@ -485,12 +485,21 @@ def test_the_cache_bound_holds_every_family_word_to_the_order_cap(monkeypatch):
         while row.order(p) <= MAX_ORDER:
             row.build(p)
             p += 1
-    # the series cache's keys, from the uncached expansion, so the test leaves
-    # the word cache as it found it
-    expansions = [(gridops._expansion.__wrapped__(w), w.diff_order) for w in words]
+    # the word cache's integer keys, as ``expand`` makes them, and the series
+    # cache's keys, from the uncached expansion, so the test leaves both
+    # caches as it found them
+    cached, keys = gridops._expansion, set()
+
+    def keyed(*key):
+        keys.add(key)
+        return cached.__wrapped__(*key)
+
+    monkeypatch.setattr(gridops, "_expansion", keyed)
+    expansions = [(gridops.expand(w), w.diff_order) for w in words]
     node_sets = {(tuple(ratios(n)), tuple(ratios(n.values())), lead) for n, lead in expansions}
-    assert len(words) == len(node_sets) == 997
-    for cache in (gridops._expansion, taylorseries._kept):
+    assert len(words) == len(keys) == len(node_sets) == 997
+    assert all(type(k) is int for key in keys for k in key)
+    for cache in (cached, taylorseries._kept):
         assert cache.cache_info().maxsize == gridops._CACHE_SIZE >= 997
 
 
