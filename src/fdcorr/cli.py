@@ -20,9 +20,8 @@ import functools
 import math
 import re
 import sys
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
-from pathlib import Path
-from typing import Callable, Mapping, Sequence
 
 from .defcor import FAMILIES, CorrectionFormula, Family, catalog, family_named
 from .exactmath import Rational, format_rational
@@ -247,6 +246,8 @@ set key left top
 
 
 def cmd_study(args: argparse.Namespace) -> int:
+    from pathlib import Path  # only ``study`` writes files; ``import fdcorr.cli`` skips it
+
     ids = [part.strip() for part in args.formula_ids.split(",") if part.strip()]
     if not ids:
         raise FormulaIdError("no formula ids given")

@@ -26,9 +26,9 @@ written in; the row gives the rest of one :func:`general_defcor` call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
 
 from .exactmath import Rational, format_rational, lattice
 from .gridops import OperatorExpr, word
@@ -52,27 +52,25 @@ class DegenerateChoiceError(ValueError):
     """A correction word cannot cancel the current leading error term."""
 
 
-@dataclass(frozen=True)
-class CorrectionFormula:
+class CorrectionFormula(namedtuple(
+    "CorrectionFormula",
+    "m base_expr terms order error_constant family_coefficients family label",
+    defaults=("general", ""),
+)):
     """A derivative approximation ``base - sum_t coeff_t k**(d_t - m) W_t``.
 
-    ``terms`` holds the subtracted corrections in generation order; term
-    ``t``'s word has differentiation order ``d_t`` and was scaled by the exact
-    coefficient ``coeff_t``.  ``family_coefficients`` holds the same data
+    ``terms`` holds the subtracted corrections in generation order, as
+    ``(coeff_t, W_t)`` pairs; term ``t``'s word has differentiation order
+    ``d_t`` and was scaled by the exact coefficient ``coeff_t``.
+    ``family_coefficients`` (``{order: Rational}``) holds the same data
     relabelled in the family's conventional orientation (for families whose
     defining identity *adds* its corrections, these are the negated engine
     coefficients), keyed by the word order they multiply; the key
-    ``order + m`` slot of that convention is the error constant.
+    ``order + m`` slot of that convention is the error constant.  ``family``
+    (default ``"general"``) and ``label`` (default ``""``) name the formula.
     """
 
-    m: int
-    base_expr: OperatorExpr
-    terms: tuple[tuple[Rational, OperatorExpr], ...]
-    order: int
-    error_constant: Rational
-    family_coefficients: Mapping[int, Rational]
-    family: str = "general"
-    label: str = ""
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -207,7 +205,7 @@ def _generate(
     label = f"{owner.prefix}{order}" + ("" if owner is row else "-value")
     formula = general_defcor(seed.diff_order, order, words, base=seed)
     coeffs = {i: scale * c for i, c in formula.family_coefficients.items()}
-    return replace(formula, family_coefficients=coeffs, family=owner.name, label=label)
+    return formula._replace(family_coefficients=coeffs, family=owner.name, label=label)
 
 
 def centered_formula(p: int) -> CorrectionFormula:
@@ -309,8 +307,7 @@ def standard_backward(p: int) -> CorrectionFormula:
 # the family registry
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(namedtuple("Family", "name prefix aliases centered min_p build")):
     """One named family's one definition: ids, parameter range, order rule.
 
     Centered families have symmetric seeds, so parameter ``p`` reaches order
@@ -321,14 +318,11 @@ class Family:
     formula that one call yields; the first is the family's own formula.
     A ``<family>-value`` row's formulas, which ``<family>`` builds too, carry
     its name and label ``<prefix><order>-value``, and :func:`catalog` skips it.
+    ``prefix`` is ``None`` for a row without ids of its own; ``aliases`` is a
+    tuple of names.
     """
 
-    name: str
-    prefix: str | None
-    aliases: tuple[str, ...]
-    centered: bool
-    min_p: int
-    build: Callable[[int], tuple[CorrectionFormula, ...]]
+    __slots__ = ()
 
     def order(self, p: int) -> int:
         return 2 * p + 2 if self.centered else p

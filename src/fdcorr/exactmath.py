@@ -16,13 +16,13 @@ is the one weighted node sum behind every exact evaluation.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Collection, Iterable, Iterator, Sequence, Union
 
 Rational = Fraction
 
-RationalLike = Union[Rational, int, str]
+RationalLike = Rational | int | str
 
 __all__ = [
     "Rational",
@@ -124,8 +124,11 @@ def node_sum(nodes: Iterable[tuple[Rational, Rational]], sample: Callable, spaci
 
 
 def format_rational(value: RationalLike) -> str:
-    """Render as ``"num/den"``, omitting the denominator when it is 1."""
-    q = Fraction(value)
+    """Render as ``"num/den"``, omitting the denominator when it is 1.
+
+    Takes what :func:`exact` takes; a float raises its ``TypeError``.
+    """
+    q = exact(value)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

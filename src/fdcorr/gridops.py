@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
 
 from .exactmath import Rational, RationalLike, exact, format_rational, node_sum
 
@@ -48,8 +48,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OperatorExpr:
+class OperatorExpr(
+    namedtuple("OperatorExpr", "p_fwd p_bwd p_cent p_avg base_shift spacing_factor")
+):
     """A difference word ``fwd^p_fwd bwd^p_bwd cent^p_cent avg^p_avg``.
 
     ``base_shift`` records where the word is anchored relative to the index it
@@ -57,24 +58,32 @@ class OperatorExpr:
     :func:`normalize_composite` to express equivalent re-anchored words).
     ``spacing_factor`` scales the word's step relative to the global spacing.
     Both are exact (``int``, ``Fraction`` or ``str``); a float raises ``TypeError``.
+    An immutable named tuple: ``expr._replace(...)`` makes a checked copy.
     """
 
-    p_fwd: int = 0
-    p_bwd: int = 0
-    p_cent: int = 0
-    p_avg: int = 0
-    base_shift: Rational = Fraction(0)
-    spacing_factor: Rational = Fraction(1)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("p_fwd", "p_bwd", "p_cent", "p_avg"):
-            if getattr(self, name) < 0:
+    def __new__(
+        cls,
+        p_fwd: int = 0,
+        p_bwd: int = 0,
+        p_cent: int = 0,
+        p_avg: int = 0,
+        base_shift: RationalLike = Fraction(0),
+        spacing_factor: RationalLike = Fraction(1),
+    ) -> OperatorExpr:
+        for name, power in zip(cls._fields, (p_fwd, p_bwd, p_cent, p_avg)):
+            if power < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        object.__setattr__(self, "base_shift", exact(self.base_shift))
-        spacing = exact(self.spacing_factor)
+        base_shift = exact(base_shift)
+        spacing = exact(spacing_factor)
         if spacing <= 0:
             raise ValueError("spacing_factor must be positive")
-        object.__setattr__(self, "spacing_factor", spacing)
+        return tuple.__new__(cls, (p_fwd, p_bwd, p_cent, p_avg, base_shift, spacing))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> OperatorExpr:
+        return cls(*fields)  # so ``_replace`` checks its copy as ``__new__`` does
 
     @property
     def diff_order(self) -> int:
@@ -178,19 +187,20 @@ class GridFunction:
     """Samples of a function on (possibly half-integer) grid indices."""
 
     def __init__(self, samples: Mapping[RationalLike, object]):
-        self.samples = {Fraction(i): v for i, v in samples.items()}
+        self.samples = {exact(i): v for i, v in samples.items()}
 
     @classmethod
     def tabulate(
         cls, fn: Callable[[Rational], object], indices: Iterable[RationalLike]
     ) -> "GridFunction":
-        return cls({Fraction(i): fn(Fraction(i)) for i in indices})
+        return cls({i: fn(i) for i in map(exact, indices)})
 
     def value(self, index: RationalLike):
+        index = exact(index)
         try:
-            return self.samples[Fraction(index)]
+            return self.samples[index]
         except KeyError:
-            raise GridRangeError(Fraction(index)) from None
+            raise GridRangeError(index) from None
 
 
 def apply(expr: OperatorExpr, u: GridFunction, at: RationalLike, k):
@@ -200,7 +210,7 @@ def apply(expr: OperatorExpr, u: GridFunction, at: RationalLike, k):
     exact when samples and ``k`` are rational; nodes are visited in ascending
     offset order so float evaluations are reproducible too.
     """
-    base = Fraction(at) + expr.base_shift
+    base = exact(at) + expr.base_shift
     nodes = sorted(expand(expr).items())
     return node_sum(nodes, lambda offset: u.value(base + offset), k, expr.diff_order)
 
@@ -228,7 +238,7 @@ def product_rule_check(
     """
     if m < 1:
         raise ValueError("product_rule_check: m must be positive")
-    base = Fraction(n)
+    base = exact(n)
     nodes = sorted(expand(word(fwd=m, bwd=m)).items())
     lhs = node_sum(nodes, lambda o: f.value(base + o) * g.value(base + o), k, 2 * m)
     factorial_m = math.factorial(m)

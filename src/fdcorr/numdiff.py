@@ -21,9 +21,9 @@ import functools
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
 
 from .exactmath import Rational, node_sum
 from .stencil import Stencil
@@ -96,23 +96,21 @@ def _spacing_texts(spacings: tuple[float, ...]) -> tuple[str, ...]:
     return tuple(map(repr, spacings))  # once per grid: a study's reports share it
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(namedtuple(
+    "ConvergenceReport", "formula_id spacings abs_errors observed_orders roundoff_floor_index"
+)):
     """Errors of one stencil over a decreasing spacing grid.
 
-    ``observed_orders[i]`` is the pairwise slope between spacings ``i`` and
-    ``i + 1``, ``-inf`` where error ``i + 1`` is infinite and error ``i``
-    is not.  ``roundoff_floor_index`` flags where errors stop behaving:
+    ``spacings``, ``abs_errors`` and ``observed_orders`` are tuples of
+    floats.  ``observed_orders[i]`` is the pairwise slope between spacings
+    ``i`` and ``i + 1``, ``-inf`` where error ``i + 1`` is infinite and error
+    ``i`` is not.  ``roundoff_floor_index`` flags where errors stop behaving:
     the first index whose error grew by more than a factor of two over its
     predecessor (``len(spacings)`` when that never happens); entries from
     there on say nothing about the formula's order.
     """
 
-    formula_id: str
-    spacings: tuple[float, ...]
-    abs_errors: tuple[float, ...]
-    observed_orders: tuple[float, ...]
-    roundoff_floor_index: int
+    __slots__ = ()
 
     def fit_window(self) -> list[int]:
         """Indices safe to fit an order against.

@@ -18,9 +18,9 @@ truth every generated stencil is compared against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .defcor import CorrectionFormula
 from .exactmath import (
@@ -42,22 +42,34 @@ class FlattenError(ValueError):
     """The formula's terms cannot be merged into a single stencil."""
 
 
-@dataclass(frozen=True)
-class Stencil:
-    """Sorted node offsets (units of k) and weights for one derivative."""
+class Stencil(namedtuple("Stencil", "m order offsets weights error_constant provenance")):
+    """Sorted node offsets (units of k) and weights for one derivative.
 
-    m: int
-    order: int
-    offsets: tuple[Rational, ...]
-    weights: tuple[Rational, ...]
-    error_constant: Rational
-    provenance: str = ""
+    ``offsets`` and ``weights`` are equally long tuples of ``Rational``, the
+    offsets ascending; ``provenance`` defaults to ``""``.  An immutable named
+    tuple: ``stencil._replace(...)`` makes a checked copy.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.offsets) != len(self.weights):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        m: int,
+        order: int,
+        offsets: tuple[Rational, ...],
+        weights: tuple[Rational, ...],
+        error_constant: Rational,
+        provenance: str = "",
+    ) -> Stencil:
+        if len(offsets) != len(weights):
             raise ValueError("offsets and weights must have equal length")
-        if list(self.offsets) != sorted(self.offsets):
+        if list(offsets) != sorted(offsets):
             raise ValueError("offsets must be sorted ascending")
+        return tuple.__new__(cls, (m, order, offsets, weights, error_constant, provenance))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> Stencil:
+        return cls(*fields)  # so ``_replace`` checks its copy as ``__new__`` does
 
     def nodes(self) -> list[tuple[Rational, Rational]]:
         return list(zip(self.offsets, self.weights))
@@ -166,16 +178,18 @@ def oracle_weights(
     return weights
 
 
-@dataclass(frozen=True)
-class StencilCheck:
-    """Outcome of re-deriving a stencil's order from its moment sums."""
+class StencilCheck(namedtuple(
+    "StencilCheck",
+    "ok claimed_order first_failed_moment failed_value recomputed_error_constant "
+    "error_constant_matches",
+)):
+    """Outcome of re-deriving a stencil's order from its moment sums.
 
-    ok: bool
-    claimed_order: int
-    first_failed_moment: int | None
-    failed_value: Rational | None
-    recomputed_error_constant: Rational
-    error_constant_matches: bool
+    ``first_failed_moment`` and ``failed_value`` are ``None`` when every
+    moment below the claimed order holds.
+    """
+
+    __slots__ = ()
 
     def summary(self) -> str:
         if self.ok:

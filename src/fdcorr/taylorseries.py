@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from .exactmath import Rational, lattice, power_sums, ratios
 from .gridops import _CACHE_SIZE, OperatorExpr, expand
@@ -44,18 +44,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ErrorSeries:
+class ErrorSeries(namedtuple("ErrorSeries", "lead coeffs truncation")):
     """Coefficients ``e_i`` of ``k**(i - lead) u^(i)`` past the exact lead term.
 
     ``coefficient(lead)`` is 1 by construction and everything below the lead
-    vanishes; ``coeffs`` stores only the nonzero entries with
-    ``lead < i <= truncation``.
+    vanishes; ``coeffs`` (``{i: Rational}``) stores only the nonzero entries
+    with ``lead < i <= truncation``.
     """
 
-    lead: int
-    coeffs: Mapping[int, Rational]
-    truncation: int
+    __slots__ = ()
 
     def coefficient(self, i: int) -> Rational:
         if i == self.lead:

@@ -131,3 +131,16 @@ class TestRationalInvariants:
     def test_integer_formatting_omits_denominator(self):
         assert format_rational(Fraction(7)) == "7"
         assert format_rational(Fraction(-9, 8)) == "-9/8"
+
+    @pytest.mark.parametrize(
+        "value, text", [(3, "3"), (Fraction(1, 10), "1/10"), ("2/4", "1/2"), (" -6/8 ", "-3/4")],
+        ids=repr,
+    )
+    def test_ints_fractions_and_strings_format(self, value, text):
+        assert format_rational(value) == text
+
+    @pytest.mark.parametrize("value", [0.1, 2.0], ids=repr)
+    def test_float_is_named_in_a_type_error(self, value):
+        with pytest.raises(TypeError) as excinfo:
+            format_rational(value)
+        assert str(excinfo.value) == f"exact rational expected (int or Fraction), got {value!r}"

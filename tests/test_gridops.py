@@ -308,6 +308,40 @@ class TestApply:
             apply(word(cent=1), u, 3, 1)
 
 
+class TestFloatIndices:
+    """A float grid index raises the float rule's ``TypeError`` at every entry point."""
+
+    ONES = GridFunction({i: Fraction(1) for i in range(-2, 3)})
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda u: GridFunction({0: 1, 0.1: 2}),
+            lambda u: GridFunction.tabulate(lambda t: t, [0, 0.1]),
+            lambda u: u.value(0.1),
+            lambda u: GridRangeError(0.1),
+            lambda u: apply(word(fwd=1), u, 0.1, 1),
+            lambda u: product_rule_check(1, u, u, 0.1, 1),
+        ],
+        ids=["GridFunction", "tabulate", "value", "GridRangeError", "apply", "product_rule_check"],
+    )
+    def test_float_index_is_named_in_a_type_error(self, call):
+        with pytest.raises(TypeError) as excinfo:
+            call(self.ONES)
+        assert str(excinfo.value) == "exact rational expected (int or Fraction), got 0.1"
+
+    def test_exact_indices_and_strings_pass(self):
+        u = GridFunction({"1/2": 5, "3/2": 6})
+        assert u.value(HALF) == u.value("2/4") == 5
+        seen = []
+        v = GridFunction.tabulate(lambda t: seen.append(t) or t, ["1/2", 2])
+        assert seen == [HALF, 2] and all(type(t) is Fraction for t in seen)
+        assert v.value(2) == 2
+        assert apply(word(fwd=1), u, "1/2", 1) == 1
+        assert str(GridRangeError("3/6")) == "no sample at grid index 1/2"
+        assert product_rule_check(1, self.ONES, self.ONES, "0", 1) == (0, 0)
+
+
 class TestProductRules:
     @staticmethod
     def _random_pair(rng, span=8):
