@@ -20,7 +20,7 @@ import functools
 import math
 import re
 import sys
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 from .defcor import FAMILIES, CorrectionFormula, Family, catalog, family_named
@@ -74,8 +74,8 @@ def parse_formula_id(formula_id: str) -> tuple[str, int]:
             raise FormulaIdError(f"unknown family in {formula_id!r}")
         p = _number(long_form.group(2), repr(formula_id))
     elif short := re.fullmatch(r"([A-Za-z]+)(\d+)", text):
-        family = next((f for f in FAMILIES if f.prefix == short.group(1).upper()), None)
-        if family is None:
+        family = family_named(short.group(1))
+        if family is None or family.prefix != short.group(1).upper():
             raise FormulaIdError(f"unknown family prefix in {formula_id!r}")
         p = family.param(_number(short.group(2), repr(formula_id)))
         if p is None:
@@ -144,8 +144,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 
 
 def cmd_stencil(args: argparse.Namespace) -> int:
-    formula = formula_from_id(args.formula_id)
-    st = flatten(formula)
+    st = flatten(formula_from_id(args.formula_id))
     print(_json_dumps(st.to_json_dict()))
     return 0
 
@@ -178,32 +177,33 @@ def _parse_polynomial(text: str) -> dict[int, float]:
     return poly
 
 
-def _polynomial(name: str, poly: Mapping[int, float]) -> Callable[[float], float]:
-    terms = sorted(poly.items())
+def _checked(name: str, f: Callable[[float], float]) -> Callable[[float], float]:
+    """``f``, raising ``FormulaIdError`` wherever it overflows a float."""
 
     def evaluate(x: float) -> float:
         try:
-            value = sum([c * x**d for d, c in terms])
-        except OverflowError:
-            value = math.inf
-        if not math.isfinite(value):
-            raise FormulaIdError(f"function {name!r} overflows at x = {x!r}")
-        return value
+            if math.isfinite(value := f(x)):
+                return value
+        except (OverflowError, ValueError):  # ``x**d`` past float range, ``sin(inf)``
+            pass
+        raise FormulaIdError(f"function {name!r} overflows at x = {x!r}")
 
     return evaluate
 
 
 def _resolve_function(name: str) -> tuple[Callable[[float], float], Callable[[float], float]]:
-    """Return (u, u') for a study function id."""
+    """Return (u, u') for a study function id, each through :func:`_checked`."""
     if name.startswith("poly:"):
-        poly = _parse_polynomial(name[len("poly:") :])
-        derivative = {d - 1: c * d for d, c in poly.items() if d}
-        return _polynomial(name, poly), _polynomial(name, derivative)
-    if (omega := _SINES.get(name)) is None:
-        raise FormulaIdError(
-            f"unknown function id {name!r} (expected {', '.join(_SINES)}, or poly:...)"
-        )
-    return (lambda x: math.sin(omega * x)), (lambda x: omega * math.cos(omega * x))
+        terms = sorted(_parse_polynomial(name[len("poly:") :]).items())
+        slopes = [(d - 1, c * d) for d, c in terms if d]
+        pair = (lambda x: sum([c * x**d for d, c in terms]),
+                lambda x: sum([c * x**d for d, c in slopes]))
+    elif (omega := _SINES.get(name)) is not None:
+        pair = (lambda x: math.sin(omega * x), lambda x: omega * math.cos(omega * x))
+    else:
+        expected = ", ".join(_SINES)
+        raise FormulaIdError(f"unknown function id {name!r} (expected {expected}, or poly:...)")
+    return _checked(name, pair[0]), _checked(name, pair[1])
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -254,12 +254,11 @@ def cmd_study(args: argparse.Namespace) -> int:
     u, du = _resolve_function(args.function)
     _require_finite("x0", args.x0)
     grid = _spacing_grid(args.h_max, args.h_min, args.h_factor)
-    x0 = args.x0
-    df_true = du(x0)
+    df_true = du(args.x0)
     # Every id builds before any sample is taken or any CSV written.
     named = [(formula_id, flatten(formula_from_id(formula_id))) for formula_id in ids]
     # This call takes every sample, so a sample that fails leaves no directory.
-    reports = convergence_studies(named, u, df_true, x0, grid)
+    reports = convergence_studies(named, u, df_true, args.x0, grid)
     csv_dir = Path(args.csv_dir)
     lines: list[str] = []
     try:
@@ -340,9 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     coeffs = sub.add_parser("coeffs", help="print a family's exact coefficient table")
-    coeffs.add_argument(
-        "family", help=" | ".join(f.name for f in FAMILIES) + ", or an alias"
-    )
+    names = " | ".join(f.name for f in FAMILIES)
+    coeffs.add_argument("family", help=f"{names}, or a prefix or alias")
     coeffs.add_argument("p", type=int, help="family parameter")
     coeffs.add_argument("--json", action="store_true", help="emit JSON output")
     coeffs.set_defaults(func=cmd_coeffs)

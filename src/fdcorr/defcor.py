@@ -318,8 +318,8 @@ class Family(namedtuple("Family", "name prefix aliases centered min_p build")):
     formula that one call yields; the first is the family's own formula.
     A ``<family>-value`` row's formulas, which ``<family>`` builds too, carry
     its name and label ``<prefix><order>-value``, and :func:`catalog` skips it.
-    ``prefix`` is ``None`` for a row without ids of its own; ``aliases`` is a
-    tuple of names.
+    :func:`family_named` finds a row by its name, ``prefix`` (``None`` for a row
+    without ids of its own) or ``aliases``, in any letter case.
     """
 
     __slots__ = ()
@@ -338,21 +338,21 @@ class Family(namedtuple("Family", "name prefix aliases centered min_p build")):
 # The table order is the catalogue order.
 FAMILIES: tuple[Family, ...] = (
     # name, prefix, aliases, centered, min_p, build
-    Family("centered", "C", ("c",), True, 1,
+    Family("centered", "C", (), True, 1,
            lambda p: (centered_formula(p),)),
-    Family("centered-average", "CA", ("ca", "average"), True, 1,
+    Family("centered-average", "CA", ("average",), True, 1,
            lambda p: (centered_average_formula(p),)),
-    Family("interior-centered", "IC", ("ic", "interior"), True, 1,
+    Family("interior-centered", "IC", ("interior",), True, 1,
            lambda p: interior_centered(p)),
     Family("interior-centered-value", None, (), True, 1,
            lambda p: interior_centered(p)[1:]),
-    Family("forward-centered", "FC", ("fc",), False, 2,
+    Family("forward-centered", "FC", (), False, 2,
            lambda p: (forward_centered(p),)),
-    Family("backward-centered", "BC", ("bc",), False, 2,
+    Family("backward-centered", "BC", (), False, 2,
            lambda p: (backward_centered(p),)),
-    Family("standard-forward", "F", ("f", "forward"), False, 2,
+    Family("standard-forward", "F", ("forward",), False, 2,
            lambda p: (standard_forward(p),)),
-    Family("standard-backward", "B", ("b", "backward"), False, 2,
+    Family("standard-backward", "B", ("backward",), False, 2,
            lambda p: (standard_backward(p),)),
 )
 
@@ -361,9 +361,11 @@ FAMILIES: tuple[Family, ...] = (
 # these, and the exported names are the ones the benchmark's tracer counts
 # calls of.
 def family_named(name: str) -> Family | None:
-    """The row whose name or alias is ``name``, in any letter case."""
+    """The row whose name, prefix or alias is ``name``, in any letter case."""
     key = name.lower()
-    return next((f for f in FAMILIES if key == f.name or key in f.aliases), None)
+    return next(
+        (f for f in FAMILIES if key in (f.name, *f.aliases, f.prefix and f.prefix.lower())), None
+    )
 
 
 def _owner(row: Family) -> Family:

@@ -13,9 +13,15 @@ import pytest
 
 import fdcorr
 from fdcorr.cli import (
-    MAX_ORDER, FormulaIdError, _parse_polynomial, formula_from_id, main, parse_formula_id
+    MAX_ORDER,
+    FormulaIdError,
+    _parse_polynomial,
+    _resolve_function,
+    formula_from_id,
+    main,
+    parse_formula_id,
 )
-from fdcorr.defcor import FAMILIES, catalog
+from fdcorr.defcor import FAMILIES, catalog, family_named
 from fdcorr.stencil import FlattenError
 
 
@@ -124,6 +130,26 @@ class TestFamilies:
                 family.name,
                 family.order(p),
             )
+
+    @pytest.mark.parametrize(
+        "family", [f for f in FAMILIES if f.prefix], ids=lambda f: f.name
+    )
+    def test_each_prefix_names_its_row_in_either_case_and_only_a_prefix_makes_a_short_id(
+        self, family
+    ):
+        order = family.order(family.min_p)
+        assert family.prefix.lower() not in family.aliases
+        for prefix in (family.prefix, family.prefix.lower()):
+            assert family_named(prefix) is family
+            assert parse_formula_id(f"{prefix}{order}") == (family.name, family.min_p)
+        for other in (family.name, *family.aliases):
+            assert family_named(other) is family
+            with pytest.raises(FormulaIdError):
+                parse_formula_id(f"{other}{order}")
+
+    def test_the_value_row_has_no_prefix_to_match(self):
+        assert family_named("") is None
+        assert family_named("interior-centered-value").prefix is None
 
     def test_below_minimum_has_no_parameter(self):
         for family in FAMILIES:
@@ -495,6 +521,39 @@ class TestStudy:
             "fdcorr: error: function 'poly:9x^2' overflows at x = -5.9999999999999996e+153"
         ]
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("function", ["sin100pi", "sin1000pi"])
+    @pytest.mark.parametrize(
+        "where, flags, x",
+        [
+            ("1e307", [], "1e+307"),  # omega * x0 is inf, so u'(x0) is cos(inf)
+            ("0", ["--h-max", "1e306", "--h-min", "1e300"], "-1.5e+306"),  # the widest sample
+        ],
+        ids=["huge-x0", "huge-spacing"],
+    )
+    def test_overflowing_sine_exits_2_before_any_directory(
+        self, tmp_path, function, where, flags, x
+    ):
+        env = dict(os.environ, PYTHONPATH=str(Path(fdcorr.__file__).parents[1]))
+        csv_dir = tmp_path / "csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "fdcorr.cli", "study", "C4", function, where,
+             "--csv-dir", str(csv_dir), *flags],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"fdcorr: error: function {function!r} overflows at x = {x}"
+        ]
+        assert not csv_dir.exists()
+
+    @pytest.mark.parametrize("function", ["sin100pi", "sin1000pi", "poly:x^2"])
+    def test_every_study_function_and_its_derivative_are_checked(self, function):
+        # at 1e308, omega * x is inf, x**2 raises OverflowError and 2 * x is inf
+        for f in _resolve_function(function):
+            assert math.isfinite(f(0.5))
+            with pytest.raises(FormulaIdError, match=r"overflows at x = 1e\+308$"):
+                f(1e308)
 
 
 class TestVerifyAll:

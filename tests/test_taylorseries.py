@@ -51,6 +51,16 @@ class TestKnownSeries:
         assert s.coefficient(4) == 0
         assert s.coefficient(5) == Fraction(1, 8)
 
+    def test_coefficient_reads_the_lead_omitted_entries_and_the_truncation(self):
+        # (u(x + k) - u(x - k)) / 2k = u' + k^2 u^(3) / 6 + k^4 u^(5) / 120 + ...
+        s = series_from_nodes({1: HALF, -1: -HALF}, 1, 6)
+        assert (s.lead, s.truncation) == (1, 6)
+        assert s.coefficient(1) == 1
+        assert s.coefficient(2) == 0 and s.coefficient(4) == 0
+        assert s.coefficient(3) == Fraction(1, 6) and s.coefficient(5) == Fraction(1, 120)
+        with pytest.raises(ValueError, match="series truncated at 6, asked for 7"):
+            s.coefficient(7)
+
     def test_averaged_second_difference(self):
         # closed form for the averaged composite, evaluated independently
         a_12 = (
