@@ -229,7 +229,8 @@ def _spacing_grid(h_max: float, h_min: float, factor: float) -> list[float]:
     h = h_max
     while h >= h_min * (1.0 - 1e-12):
         grid.append(h)
-        h /= factor
+        if (h := h / factor) == grid[-1]:  # among subnormals h / factor can round to h
+            raise FormulaIdError(f"spacing grid stops shrinking at {h}: h / {factor} rounds to h")
     if len(grid) < 3:
         raise FormulaIdError("spacing grid has fewer than 3 points")
     return grid
@@ -260,12 +261,17 @@ def cmd_study(args: argparse.Namespace) -> int:
     # This call takes every sample, so a sample that fails leaves no directory.
     reports = convergence_studies(named, u, df_true, args.x0, grid)
     csv_dir = Path(args.csv_dir)
+    h_texts = [*map(repr, grid)]  # once per request: every report shares the grid
     lines: list[str] = []
     try:
         csv_dir.mkdir(parents=True, exist_ok=True)
         for report in reports:
             path = csv_dir / f"{report.formula_id}.csv"
-            report.write_csv(path)
+            errors = report.abs_errors
+            rows = [f"h,abs_error,observed_order\n{h_texts[0]},{errors[0]!r},\n"]
+            rows += [f"{h},{e!r},{o!r}\n"
+                     for h, e, o in zip(h_texts[1:], errors[1:], report.observed_orders)]
+            path.write_text("".join(rows), newline="")
             fitted = report.fitted_order()
             fitted_text = "n/a" if math.isnan(fitted) else f"{fitted:.2f}"
             lines.append(

@@ -128,7 +128,4 @@ def format_rational(value: RationalLike) -> str:
 
     Takes what :func:`exact` takes; a float raises its ``TypeError``.
     """
-    q = exact(value)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return str(exact(value))

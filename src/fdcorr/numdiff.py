@@ -13,13 +13,14 @@ same products in ascending-offset order, and a sample is the same float
 whichever stencil uses it, so results are bit-identical to summing each
 stencil alone over its nodes converted to float.  Without compensated
 summation the roundoff plateau at small spacing stays visible.
+
+The module opens no file: ``fdcorr study`` (:mod:`fdcorr.cli`) writes the
+reports as CSV.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import sys
 import warnings
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -32,7 +33,6 @@ __all__ = [
     "ConvergenceReport",
     "apply_stencil",
     "convergence_studies",
-    "convergence_study",
 ]
 
 
@@ -76,24 +76,12 @@ def _column_sums(stencils, f: Callable, x0: float, spacings) -> list[list[float]
             (x0 + offset * h, v) for h, v in zip(spacings, column) if not math.isfinite(v)]
         for k, weight, exact in users[offset]:
             for x, value in bad:
+                # level 3 is the caller of apply_stencil or convergence_studies
                 warnings.warn(f"nonfinite sample {value!r} at x = {x!r} (offset {exact})",
-                              RuntimeWarning, stacklevel=_outside_level())
+                              RuntimeWarning, stacklevel=3)
             totals[k] = [t + weight * v for t, v in zip(totals[k], column)]
         del column
     return totals
-
-
-def _outside_level() -> int:
-    """The ``stacklevel`` that makes its caller's warning name the first frame outside."""
-    frame, level = sys._getframe(1), 1
-    while frame.f_globals["__name__"] == __name__:
-        frame, level = frame.f_back, level + 1
-    return level
-
-
-@functools.lru_cache(maxsize=1)
-def _spacing_texts(spacings: tuple[float, ...]) -> tuple[str, ...]:
-    return tuple(map(repr, spacings))  # once per grid: a study's reports share it
 
 
 class ConvergenceReport(namedtuple(
@@ -153,14 +141,6 @@ class ConvergenceReport(namedtuple(
     def min_error(self) -> float:
         return min(self.abs_errors)
 
-    def write_csv(self, path) -> None:
-        h_texts, errors = _spacing_texts(self.spacings), self.abs_errors
-        rows = [f"h,abs_error,observed_order\n{h_texts[0]},{errors[0]!r},\n"]
-        rows += [f"{h},{e!r},{o!r}\n"
-                 for h, e, o in zip(h_texts[1:], errors[1:], self.observed_orders)]
-        with open(path, "w", newline="") as handle:
-            handle.write("".join(rows))
-
 
 def convergence_studies(
     named: Sequence[tuple[str, Stencil]],
@@ -211,16 +191,3 @@ def _report(formula_id, m, total, df_true, spacings, log_steps) -> ConvergenceRe
         (i for i in range(1, len(errors)) if errors[i] > 2.0 * errors[i - 1]), len(errors)
     )
     return ConvergenceReport(formula_id, spacings, errors, orders, floor)
-
-
-def convergence_study(
-    s: Stencil,
-    f: Callable[[float], float],
-    df_true: float,
-    x0: float,
-    h_list: Sequence[float] | Iterable[float],
-    formula_id: str = "",
-) -> ConvergenceReport:
-    """:func:`convergence_studies` of one stencil, named ``formula_id`` or its provenance."""
-    named = [(formula_id or s.provenance, s)]
-    return next(convergence_studies(named, f, df_true, x0, h_list))

@@ -19,7 +19,7 @@ from fdcorr import (
     binom,
     centered_average_formula,
     centered_formula,
-    convergence_study,
+    convergence_studies,
     error_series,
     flatten,
     forward_centered,
@@ -272,8 +272,7 @@ def test_criterion_6_convergence_study():
         du0 = omega  # derivative of sin(omega x) at x = 0
         shared = [h_top * 2.0**-j for j in range(11)]
         reports = {
-            fid: convergence_study(st, u, du0, 0.0, shared, formula_id=fid)
-            for fid, st in stencils.items()
+            r.formula_id: r for r in convergence_studies(stencils.items(), u, du0, 0.0, shared)
         }
 
         # every curve reaches a floor below 1e-10 * |u'(0)| on the shared grid
@@ -294,7 +293,7 @@ def test_criterion_6_convergence_study():
             fitted = reports[fid].fitted_order()
             assert abs(fitted - target) <= 0.2, (fid, fitted)
         band = [h_top * 2.0 ** (-(13 + j) / 8) for j in range(4)]
-        b10 = convergence_study(stencils["B10"], u, du0, 0.0, band, formula_id="B10")
+        (b10,) = convergence_studies([("B10", stencils["B10"])], u, du0, 0.0, band)
         assert abs(b10.fitted_order() - 10) <= 0.2, b10.fitted_order()
 
         # smaller error constant wins: backward-centered under plain backward

@@ -22,7 +22,8 @@ from fdcorr.cli import (
     parse_formula_id,
 )
 from fdcorr.defcor import FAMILIES, catalog, family_named
-from fdcorr.stencil import FlattenError
+from fdcorr.numdiff import convergence_studies
+from fdcorr.stencil import FlattenError, flatten
 
 
 def run(capsys, *argv):
@@ -350,6 +351,31 @@ class TestStudy:
         second = (tmp_path / "two" / "BC6.csv").read_bytes()
         assert first == second
 
+    def test_csv_bytes_are_pinned(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "study", "C4,B2", "poly:x^2", "0", "--csv-dir", str(tmp_path),
+                         "--h-max", "0.5", "--h-min", "0.125")
+        assert code == 0
+        for formula_id in ("C4", "B2"):
+            assert (tmp_path / f"{formula_id}.csv").read_bytes() == (
+                b"h,abs_error,observed_order\n0.5,0.0,\n0.25,0.0,nan\n0.125,0.0,nan\n"
+            )
+
+    def test_csv_rows(self, capsys, tmp_path):
+        # each value as its repr, and no order on the first row, which has no predecessor
+        x0, grid = 0.1, [1e-3, 5e-4, 2.5e-4]
+        code, _, _ = run(capsys, "study", "B6,IC6", "sin100pi", str(x0), "--csv-dir",
+                         str(tmp_path), "--h-max", "1e-3", "--h-min", "2.5e-4")
+        assert code == 0
+        u, du = _resolve_function("sin100pi")
+        named = [(fid, flatten(formula_from_id(fid))) for fid in ("B6", "IC6")]
+        for report in convergence_studies(named, u, du(x0), x0, grid):
+            errors, orders = report.abs_errors, report.observed_orders
+            text = f"h,abs_error,observed_order\n{grid[0]!r},{errors[0]!r},\n"
+            text += "".join(
+                f"{h!r},{e!r},{o!r}\n" for h, e, o in zip(grid[1:], errors[1:], orders)
+            )
+            assert (tmp_path / f"{report.formula_id}.csv").read_bytes() == text.encode()
+
     @pytest.mark.parametrize(
         "ids, function, flags, named",
         [
@@ -463,6 +489,28 @@ class TestStudy:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "1.000001" in err and "100000 spacings" in err
+
+    @pytest.mark.parametrize(
+        "h_max, factor", [("1e-323", "1.5"), ("5e-324", "1.0000001")], ids=["subnormal", "near-1"]
+    )
+    def test_grid_that_stops_shrinking_exits_2_before_any_directory(self, tmp_path, h_max, factor):
+        # 5e-324 / factor rounds back to 5e-324; a grid that kept appending it
+        # would hit the address-space cap or the timeout rather than hang the suite
+        resource = pytest.importorskip("resource")
+        cap = 2**29
+        env = dict(os.environ, PYTHONPATH=str(Path(fdcorr.__file__).parents[1]))
+        csv_dir = tmp_path / "csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "fdcorr.cli", "study", "C4", "sin100pi", "0", "--csv-dir",
+             str(csv_dir), "--h-max", h_max, "--h-min", "5e-324", "--h-factor", factor],
+            capture_output=True, text=True, env=env, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"fdcorr: error: spacing grid stops shrinking at 5e-324: h / {factor} rounds to h"
+        ]
+        assert not csv_dir.exists()
 
     def test_wide_spacing_range_is_counted_without_overflow(self, capsys, tmp_path):
         # h-max / h-min overflows a float, yet the grid has only 1994 spacings

@@ -16,7 +16,6 @@ from fdcorr import (
     apply_stencil,
     centered_formula,
     convergence_studies,
-    convergence_study,
     flatten,
     general_defcor,
     oracle_weights,
@@ -241,11 +240,11 @@ class TestConvergenceStudy:
     def test_requires_three_decreasing_spacings(self):
         f = math.sin
         with pytest.raises(ValueError):
-            convergence_study(C4, f, 1.0, 0.0, [0.1, 0.05])
+            convergence_studies([("C4", C4)], f, 1.0, 0.0, [0.1, 0.05])
         with pytest.raises(ValueError):
-            convergence_study(C4, f, 1.0, 0.0, [0.1, 0.1, 0.05])
+            convergence_studies([("C4", C4)], f, 1.0, 0.0, [0.1, 0.1, 0.05])
         with pytest.raises(ValueError, match="spacing h must be positive"):
-            convergence_study(C4, f, 1.0, 0.0, [0.1, 0.0, -0.1])
+            convergence_studies([("C4", C4)], f, 1.0, 0.0, [0.1, 0.0, -0.1])
 
     @pytest.mark.parametrize(
         "x0, spacings, message, df_true",
@@ -272,15 +271,15 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match=f"^{message}$"):
             convergence_studies([("C4", C4), ("B6", B6)], f, df_true, x0, spacings)
         with pytest.raises(ValueError, match=f"^{message}$"):
-            convergence_study(C4, f, df_true, x0, spacings)
+            convergence_studies([("C4", C4)], f, df_true, x0, spacings)
         assert calls == []
 
     def test_sixth_order_backward_on_oscillatory_function(self):
         st = flatten(standard_backward(6))
         omega = 100 * math.pi
         grid = [1e-3 * 2.0**-j for j in range(9)]
-        report = convergence_study(
-            st, lambda x: math.sin(omega * x), omega, 0.0, grid, formula_id="B6"
+        (report,) = convergence_studies(
+            [("B6", st)], lambda x: math.sin(omega * x), omega, 0.0, grid
         )
         assert abs(report.fitted_order() - 6) <= 0.2
         assert report.roundoff_floor_index <= len(grid)
@@ -289,21 +288,24 @@ class TestConvergenceStudy:
         st = flatten(standard_backward(6))
         omega = 100 * math.pi
         grid = [1e-3, 5e-4, 2.5e-4]
-        report = convergence_study(st, lambda x: math.sin(omega * x), omega, 0.0, grid)
+        f = lambda x: math.sin(omega * x)
+        (report,) = convergence_studies([("B6", st)], f, omega, 0.0, grid)
         e, h = report.abs_errors, report.spacings
         for i in range(2):
             expected = math.log(e[i] / e[i + 1]) / math.log(h[i] / h[i + 1])
             assert report.observed_orders[i] == pytest.approx(expected)
 
     def test_polynomial_exactness_floors_everything(self):
-        report = convergence_study(
-            C4, lambda x: x**3, 0.0, 0.0, [0.1, 0.05, 0.025], formula_id="C4"
+        (report,) = convergence_studies(
+            [("C4", C4)], lambda x: x**3, 0.0, 0.0, [0.1, 0.05, 0.025]
         )
         assert max(report.abs_errors) < 1e-12
 
     def test_exactly_zero_errors_give_no_fit(self):
         # binary-exact weights and an even integrand cancel to exactly zero
-        report = convergence_study(CENTRAL, lambda x: x * x, 0.0, 0.0, [0.5, 0.25, 0.125])
+        (report,) = convergence_studies(
+            [("central", CENTRAL)], lambda x: x * x, 0.0, 0.0, [0.5, 0.25, 0.125]
+        )
         assert report.abs_errors == (0.0, 0.0, 0.0)
         assert math.isnan(report.fitted_order())
 
@@ -312,7 +314,7 @@ class TestConvergenceStudy:
         f = lambda x: math.inf if 0 < x < 0.2 else math.sin(x)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            report = convergence_study(C4, f, 1.0, 0.0, [1.0, 0.5, 0.25])
+            (report,) = convergence_studies([("C4", C4)], f, 1.0, 0.0, [1.0, 0.5, 0.25])
         assert [(w.category, str(w.message)) for w in caught] == [
             (RuntimeWarning, "nonfinite sample inf at x = 0.125 (offset 1/2)"),
         ]
@@ -320,18 +322,6 @@ class TestConvergenceStudy:
         assert report.abs_errors[-1] == math.inf
         assert report.observed_orders[-1] == -math.inf
         assert math.isnan(report.fitted_order())
-
-    def test_csv_rows(self, tmp_path):
-        st = flatten(standard_backward(6))
-        report = convergence_study(
-            st, lambda x: math.sin(x), 1.0, 0.0, [0.4, 0.2, 0.1], formula_id="B6"
-        )
-        report.write_csv(tmp_path / "B6.csv")
-        rows = [line.split(",") for line in (tmp_path / "B6.csv").read_text().splitlines()]
-        assert rows[0] == ["h", "abs_error", "observed_order"]
-        assert rows[1] == ["0.4", repr(report.abs_errors[0]), ""]
-        assert rows[2][2] == repr(report.observed_orders[0]) != ""
-        assert len(rows) == 4
 
     def test_each_node_is_converted_to_float_at_most_once(self):
         conversions = Counter()
@@ -352,15 +342,15 @@ class TestConvergenceStudy:
         omega = 100 * math.pi
         f = lambda x: math.sin(omega * x)
         grid = [1e-3 * 2.0**-j for j in range(12)]
-        report = convergence_study(counted, f, omega, 0.1, grid)
+        (report,) = convergence_studies([("C4", counted)], f, omega, 0.1, grid)
         assert len(conversions) == 2 * len(C4.offsets)
         assert max(conversions.values()) == 1
-        assert report == convergence_study(C4, f, omega, 0.1, grid)
+        assert [report] == list(convergence_studies([("C4", C4)], f, omega, 0.1, grid))
 
     def test_fit_window_spans_clean_monotone_grid(self):
         st = flatten(standard_backward(6))
         grid = [0.4, 0.2, 0.1]
-        report = convergence_study(st, math.sin, 1.0, 0.0, grid)
+        (report,) = convergence_studies([("B6", st)], math.sin, 1.0, 0.0, grid)
         assert report.fit_window() == [0, 1, 2]
 
     @given(
@@ -529,4 +519,5 @@ class TestConvergenceStudies:
         reports = list(convergence_studies(named, f, 1.0, 0.3, [0.1, 0.05, 0.025]))
         assert [r.formula_id for r in reports] == ["C4", "central", "C4", "C4"]
         assert reports[0] == reports[2] == reports[3]
-        assert reports[0] == convergence_study(C4, f, 1.0, 0.3, [0.1, 0.05, 0.025])
+        alone = convergence_studies([("C4", C4)], f, 1.0, 0.3, [0.1, 0.05, 0.025])
+        assert reports[:1] == list(alone)
