@@ -252,6 +252,9 @@ def cmd_study(args: argparse.Namespace) -> int:
     ids = [part.strip() for part in args.formula_ids.split(",") if part.strip()]
     if not ids:
         raise FormulaIdError("no formula ids given")
+    for n, formula_id in enumerate(ids):
+        if formula_id in ids[:n]:  # each id writes its own CSV
+            raise FormulaIdError(f"formula id {formula_id!r} is given more than once")
     u, du = _resolve_function(args.function)
     _require_finite("x0", args.x0)
     grid = _spacing_grid(args.h_max, args.h_min, args.h_factor)

@@ -204,7 +204,9 @@ def _generate(
     owner = _owner(row)
     label = f"{owner.prefix}{order}" + ("" if owner is row else "-value")
     formula = general_defcor(seed.diff_order, order, words, base=seed)
-    coeffs = {i: scale * c for i, c in formula.family_coefficients.items()}
+    coeffs = formula.family_coefficients
+    if scale != 1:
+        coeffs = {i: c * scale for i, c in coeffs.items()}
     return formula._replace(family_coefficients=coeffs, family=owner.name, label=label)
 
 

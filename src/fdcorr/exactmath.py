@@ -63,9 +63,14 @@ _EXACT = frozenset((int, Fraction))
 
 
 def exact(value: RationalLike) -> Rational:
-    """``Fraction(value)`` of an ``int``, ``Fraction`` or ``str``; a float fails as in :func:`ratios`."""
-    if not isinstance(value, str):
-        ratios([value])
+    """``Fraction(value)`` of an ``int``, ``Fraction`` or ``str``; a float fails as in :func:`ratios`.
+
+    A ``Fraction`` comes back unchanged, so values already exact cost no copy.
+    """
+    if type(value) is Fraction:
+        return value
+    if not isinstance(value, (int, Fraction, str)):
+        ratios([value])  # raises its TypeError
     return Fraction(value)
 
 

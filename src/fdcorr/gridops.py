@@ -77,7 +77,7 @@ class OperatorExpr(
                 raise ValueError(f"{name} must be nonnegative")
         base_shift = exact(base_shift)
         spacing = exact(spacing_factor)
-        if spacing <= 0:
+        if spacing.numerator <= 0:
             raise ValueError("spacing_factor must be positive")
         return tuple.__new__(cls, (p_fwd, p_bwd, p_cent, p_avg, base_shift, spacing))
 

@@ -98,9 +98,9 @@ def flatten(formula: CorrectionFormula) -> Stencil:
     the formula's claimed order are re-checked on the merged nodes.  A
     coefficient that is not an ``int`` or ``Fraction`` raises ``TypeError``.
     """
-    anchors = {formula.base_expr.base_shift}
-    anchors.update(expr.base_shift for _, expr in formula.terms)
-    if len(anchors) != 1:
+    anchor = formula.base_expr.base_shift
+    if any(expr.base_shift != anchor for _, expr in formula.terms):
+        anchors = {anchor, *(expr.base_shift for _, expr in formula.terms)}
         raise FlattenError(
             "formula terms are anchored at different evaluation points: "
             + ", ".join(sorted(format_rational(a) for a in anchors))
@@ -152,7 +152,9 @@ def oracle_weights(
     """
     x = [exact(o) for o in offsets]
     n = len(x)
-    if len(set(x)) != n:
+    scale = math.lcm(*(o.denominator for o in x))
+    a = [o.numerator * (scale // o.denominator) for o in x]
+    if len(set(a)) != n:
         raise ValueError("offsets must be distinct")
     if not 0 <= m < n:
         raise ValueError(f"need more than {m} nodes for derivative order {m}")
@@ -161,8 +163,6 @@ def oracle_weights(
             f"{n} nodes cannot support derivative {m} at order {q}"
         )
 
-    scale = math.lcm(*(o.denominator for o in x))
-    a = [o.numerator * (scale // o.denominator) for o in x]
     product = [1]  # P's coefficients, highest power first
     for a_i in a:
         product = [hi - a_i * lo for hi, lo in zip(product + [0], [0] + product)]

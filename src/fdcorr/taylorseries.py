@@ -95,7 +95,10 @@ def series_from_nodes(
             if total:
                 coeffs[i] = Fraction(total, den_i * factorial)
         kept[1] = truncation, coeffs
-    prefix = {i: c for i, c in coeffs.items() if i <= truncation}
+    if truncation >= done:  # the kept depth, or the depth just extended to
+        prefix = dict(coeffs)
+    else:
+        prefix = {i: c for i, c in coeffs.items() if i <= truncation}
     return ErrorSeries(lead=lead, coeffs=prefix, truncation=truncation)
 
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -399,6 +400,17 @@ class TestStudy:
         assert named in capsys.readouterr().err
         assert not csv_dir.exists()
 
+    def test_repeated_id_exits_2_before_generating_or_any_directory(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # each id writes ``<id>.csv``: a repeat would write one file twice
+        csv_dir = tmp_path / "D"
+        err = exits_2_before_generating(
+            capsys, monkeypatch, "study", "C4,B6, C4", "sin100pi", "0.1", "--csv-dir", str(csv_dir)
+        )
+        assert err.endswith("fdcorr: error: formula id 'C4' is given more than once\n")
+        assert not csv_dir.exists()
+
     def test_csv_dir_naming_a_file_exits_2(self, capsys, tmp_path):
         csv_dir = tmp_path / "D"
         csv_dir.write_text("")
@@ -717,6 +729,35 @@ class TestRepeatedCalls:
     def test_second_call_gives_the_same_output(self, capsys, argv):
         first = self.outcome(capsys, argv)
         assert self.outcome(capsys, argv) == first
+
+    def test_second_verify_all_takes_no_fraction_slow_path(self, capsys, monkeypatch):
+        # Once the caches are warm, values that are already exact are never
+        # hashed, wrapped in a second ``Fraction`` or multiplied as ``int *
+        # Fraction``: each is a Python-level path of ``fractions``.
+        argv = ["verify-all", "--max-order", "12"]
+        assert main(argv) == 0
+        calls = {"hash": 0, "rewrap": 0, "rmul": 0}
+        hash_, new, rmul = Fraction.__hash__, Fraction.__new__, Fraction.__rmul__
+
+        def counted_hash(self):
+            calls["hash"] += 1
+            return hash_(self)
+
+        # ``__new__`` takes ``_normalize`` on Python 3.10-3.11 only
+        def counted_new(cls, *args, **kwargs):
+            calls["rewrap"] += len(args) == 1 and isinstance(args[0], Fraction)
+            return new(cls, *args, **kwargs)
+
+        def counted_rmul(self, other, **kwargs):
+            calls["rmul"] += 1
+            return rmul(self, other, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__hash__", counted_hash)
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+        monkeypatch.setattr(Fraction, "__rmul__", counted_rmul)
+        assert main(argv) == 0
+        monkeypatch.undo()
+        assert calls == {"hash": 0, "rewrap": 0, "rmul": 0}
 
     def test_second_call_leaves_no_cyclic_garbage(self, capsys, tmp_path):
         argv = ["study", "C4,B6", "sin100pi", "0.1", "--csv-dir", str(tmp_path)]

@@ -1,6 +1,7 @@
 """Rational arithmetic and the alternating binomial moment identities."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fdcorr import binom, format_rational, moment_sum
+from fdcorr.exactmath import exact
 
 SHIFTS = [
     Fraction(-2),
@@ -143,4 +145,34 @@ class TestRationalInvariants:
     def test_float_is_named_in_a_type_error(self, value):
         with pytest.raises(TypeError) as excinfo:
             format_rational(value)
+        assert str(excinfo.value) == f"exact rational expected (int or Fraction), got {value!r}"
+
+
+class TestExact:
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(Fraction(1, 3), Fraction(1, 3)), (7, Fraction(7)), (True, Fraction(1)), ("2/4", Fraction(1, 2))],
+        ids=repr,
+    )
+    def test_exact_values_give_equal_fractions(self, value, expected):
+        got = exact(value)
+        assert type(got) is Fraction
+        assert got == expected
+
+    def test_fraction_comes_back_unchanged(self):
+        value = Fraction(1, 3)
+        assert exact(value) is value
+
+    def test_fraction_subclass_comes_back_plain(self):
+        class Tagged(Fraction):
+            pass
+
+        got = exact(Tagged(3, 4))
+        assert type(got) is Fraction
+        assert got == Fraction(3, 4)
+
+    @pytest.mark.parametrize("value", [0.5, Decimal("0.5")], ids=repr)
+    def test_inexact_value_is_named_in_a_type_error(self, value):
+        with pytest.raises(TypeError) as excinfo:
+            exact(value)
         assert str(excinfo.value) == f"exact rational expected (int or Fraction), got {value!r}"

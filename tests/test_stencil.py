@@ -67,12 +67,17 @@ class TestFlatten:
         assert st.weights == (frac(-11, 6), frac(3), frac(-3, 2), frac(1, 3))
 
     def test_mixed_anchors_rejected(self):
-        formula = centered_formula(1)
-        coeff, expr = formula.terms[0]
-        assert expr == word(fwd=1, bwd=1, cent=1)
-        shifted = formula._replace(terms=((coeff, word(fwd=1, bwd=1, cent=1, shift=1)),))
-        with pytest.raises(FlattenError, match="different evaluation points"):
+        formula = centered_formula(2)
+        (c3, w3), (c5, w5) = formula.terms
+        assert (w3, w5) == (word(fwd=1, bwd=1, cent=1), word(fwd=2, bwd=2, cent=1))
+        shifted = formula._replace(
+            terms=((c3, w3._replace(base_shift=1)), (c5, w5._replace(base_shift="-1/2")))
+        )
+        with pytest.raises(FlattenError) as excinfo:
             flatten(shifted)
+        assert str(excinfo.value) == (
+            "formula terms are anchored at different evaluation points: -1/2, 0, 1"
+        )
 
     def test_interval_seed_merges_with_fine_corrections(self):
         # the interval-wide seed and fine corrections land on one lattice;
@@ -98,9 +103,14 @@ class TestOracle:
         st = flatten(standard_forward(3))
         assert oracle_weights([0, 1, 2, 3], 1) == list(st.weights)
 
-    def test_duplicate_offsets_rejected(self):
+    @pytest.mark.parametrize(
+        "offsets",
+        [[0, 1, 1], [0, 1, frac(2, 2), "1"], [frac(-1, 2), 0, "-1/2"]],
+        ids=repr,
+    )
+    def test_duplicate_offsets_rejected(self, offsets):
         with pytest.raises(ValueError, match="distinct"):
-            oracle_weights([0, 1, 1], 1)
+            oracle_weights(offsets, 1)
 
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValueError, match="need more than 2 nodes for derivative order 2"):
