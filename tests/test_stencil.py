@@ -103,14 +103,11 @@ class TestOracle:
         st = flatten(standard_forward(3))
         assert oracle_weights([0, 1, 2, 3], 1) == list(st.weights)
 
-    @pytest.mark.parametrize(
-        "offsets",
-        [[0, 1, 1], [0, 1, frac(2, 2), "1"], [frac(-1, 2), 0, "-1/2"]],
-        ids=repr,
-    )
-    def test_duplicate_offsets_rejected(self, offsets):
-        with pytest.raises(ValueError, match="distinct"):
-            oracle_weights(offsets, 1)
+    def test_duplicate_offsets_rejected(self):
+        # one offset spelled three ways, on the integer lattice and off it
+        for offsets in ([0, 1, 1], [0, 1, Fraction(2, 2), "1"], [frac(-1, 2), 0, "-1/2"]):
+            with pytest.raises(ValueError, match="distinct"):
+                oracle_weights(offsets, 1)
 
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValueError, match="need more than 2 nodes for derivative order 2"):
