@@ -252,35 +252,50 @@ def cmd_study(args: argparse.Namespace) -> int:
     ids = [part.strip() for part in args.formula_ids.split(",") if part.strip()]
     if not ids:
         raise FormulaIdError("no formula ids given")
+    # Each id writes its own CSV, so a formula given twice is refused, under
+    # any spelling: ``C4.csv`` and ``c4.csv`` are one file on some file systems.
+    parsed: dict[tuple[str, int], str] = {}
     for n, formula_id in enumerate(ids):
-        if formula_id in ids[:n]:  # each id writes its own CSV
+        if formula_id in ids[:n]:
             raise FormulaIdError(f"formula id {formula_id!r} is given more than once")
+        first = parsed.setdefault(parse_formula_id(formula_id), formula_id)
+        if first != formula_id:
+            raise FormulaIdError(f"formula id {formula_id!r} names the same formula as {first!r}")
     u, du = _resolve_function(args.function)
     _require_finite("x0", args.x0)
     grid = _spacing_grid(args.h_max, args.h_min, args.h_factor)
     df_true = du(args.x0)
-    # Every id builds before any sample is taken or any CSV written.
-    named = [(formula_id, flatten(formula_from_id(formula_id))) for formula_id in ids]
+    # Every id builds before any sample is taken or any CSV written.  Ids whose
+    # stencils are equal (FC<p> and BC<p>, C<n> and IC<n>) share one report:
+    # the first id of each group stands for all of them.
+    groups: dict[tuple, list[str]] = {}
+    named = []
+    for (name, p), formula_id in parsed.items():
+        s = flatten(family_named(name).build(p)[0])
+        group = groups.setdefault((s.m, s.offsets, s.weights), [])
+        if not group:
+            named.append((formula_id, s))
+        group.append(formula_id)
     # This call takes every sample, so a sample that fails leaves no directory.
     reports = convergence_studies(named, u, df_true, args.x0, grid)
     csv_dir = Path(args.csv_dir)
     h_texts = [*map(repr, grid)]  # once per request: every report shares the grid
-    lines: list[str] = []
+    lines: dict[str, str] = {}
     try:
         csv_dir.mkdir(parents=True, exist_ok=True)
-        for report in reports:
-            path = csv_dir / f"{report.formula_id}.csv"
+        for report, group in zip(reports, groups.values()):
             errors = report.abs_errors
             rows = [f"h,abs_error,observed_order\n{h_texts[0]},{errors[0]!r},\n"]
             rows += [f"{h},{e!r},{o!r}\n"
                      for h, e, o in zip(h_texts[1:], errors[1:], report.observed_orders)]
-            path.write_text("".join(rows), newline="")
+            text = "".join(rows)
             fitted = report.fitted_order()
             fitted_text = "n/a" if math.isnan(fitted) else f"{fitted:.2f}"
-            lines.append(
-                f"{report.formula_id}: fitted order {fitted_text}, "
-                f"min error {report.min_error():.3e}, csv {path}"
-            )
+            summary = f"fitted order {fitted_text}, min error {report.min_error():.3e}"
+            for formula_id in group:
+                path = csv_dir / f"{formula_id}.csv"
+                path.write_text(text, newline="")
+                lines[formula_id] = f"{formula_id}: {summary}, csv {path}"
         if args.gnuplot:
             script = csv_dir / "study.gp"
             plots = ", ".join(
@@ -291,8 +306,8 @@ def cmd_study(args: argparse.Namespace) -> int:
     except OSError as exc:
         message = f"cannot write to --csv-dir {args.csv_dir!r}: {exc.strerror}"
         raise FormulaIdError(message) from exc
-    for line in lines:
-        print(line)
+    for formula_id in ids:
+        print(lines[formula_id])
     if args.gnuplot:
         print(f"gnuplot script: {script}")
     return 0

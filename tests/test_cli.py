@@ -25,6 +25,7 @@ from fdcorr.cli import (
 from fdcorr.defcor import FAMILIES, catalog, family_named
 from fdcorr.numdiff import convergence_studies
 from fdcorr.stencil import FlattenError, flatten
+from test_numdiff import STUDY_IDS
 
 
 def run(capsys, *argv):
@@ -410,6 +411,58 @@ class TestStudy:
         )
         assert err.endswith("fdcorr: error: formula id 'C4' is given more than once\n")
         assert not csv_dir.exists()
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            ("C4,c4", "formula id 'c4' names the same formula as 'C4'"),
+            ("centered:p=1,C4", "formula id 'C4' names the same formula as 'centered:p=1'"),
+        ],
+    )
+    def test_one_formula_under_two_spellings_exits_2_before_generating_or_any_directory(
+        self, capsys, monkeypatch, tmp_path, ids, message
+    ):
+        # ``C4.csv`` and ``c4.csv`` are one file on a case-insensitive file system
+        csv_dir = tmp_path / "D"
+        err = exits_2_before_generating(
+            capsys, monkeypatch, "study", ids, "sin100pi", "0.1", "--csv-dir", str(csv_dir)
+        )
+        assert err.endswith(f"fdcorr: error: {message}\n")
+        assert not csv_dir.exists()
+
+    def test_ids_sharing_a_stencil_write_the_bytes_each_writes_alone(self, capsys, tmp_path):
+        # IC6 and C6 share a stencil, as do FC6 and BC6; IC6 comes first in its pair
+        ids = ["IC6", "B6", "FC6", "C6", "BC6"]
+        flags = ["sin100pi", "0.1", "--h-max", "1e-3", "--h-min", "1e-4"]
+        code, out, _ = run(capsys, "study", ",".join(ids), *flags, "--csv-dir", str(tmp_path / "all"))
+        assert code == 0
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ids
+        for formula_id, line in zip(ids, lines):
+            assert line.endswith(f", csv {tmp_path / 'all' / f'{formula_id}.csv'}")
+            alone = tmp_path / formula_id
+            code, out_alone, _ = run(capsys, "study", formula_id, *flags, "--csv-dir", str(alone))
+            assert code == 0
+            assert out_alone.rsplit(", csv ", 1)[0] == line.rsplit(", csv ", 1)[0]
+            got = (tmp_path / "all" / f"{formula_id}.csv").read_bytes()
+            assert got == (alone / f"{formula_id}.csv").read_bytes()
+
+    def test_each_distinct_stencil_is_reported_once(self, capsys, monkeypatch, tmp_path):
+        received = []
+
+        def recording(named, *args):
+            received.extend(named)
+            return convergence_studies(named, *args)
+
+        monkeypatch.setattr(fdcorr.cli, "convergence_studies", recording)
+        code, out, _ = run(capsys, "study", ",".join(STUDY_IDS), "sin100pi", "0.1",
+                           "--csv-dir", str(tmp_path), "--h-max", "1e-3", "--h-min", "2.5e-4")
+        assert code == 0
+        assert len(received) == 35
+        reported = [formula_id for formula_id, _ in received]
+        skipped = [f"FC{order}" for order in range(2, 11)] + [f"IC{n}" for n in range(4, 11, 2)]
+        assert [fid for fid in STUDY_IDS if fid not in reported] == skipped
+        assert len(out.splitlines()) == len(list(tmp_path.iterdir())) == 48
 
     def test_csv_dir_naming_a_file_exits_2(self, capsys, tmp_path):
         csv_dir = tmp_path / "D"
