@@ -26,7 +26,7 @@ from fractions import Fraction
 from .defcor import FAMILIES, CorrectionFormula, Family, catalog, family_named
 from .exactmath import Rational, format_rational
 from .numdiff import convergence_studies
-from .stencil import FlattenError, flatten, oracle_weights, verify
+from .stencil import FlattenError, Stencil, flatten, oracle_weights, verify
 
 __all__ = ["main", "console_main", "parse_formula_id", "formula_from_id"]
 
@@ -254,13 +254,14 @@ def cmd_study(args: argparse.Namespace) -> int:
         raise FormulaIdError("no formula ids given")
     # Each id writes its own CSV, so a formula given twice is refused, under
     # any spelling: ``C4.csv`` and ``c4.csv`` are one file on some file systems.
-    parsed: dict[tuple[str, int], str] = {}
-    for n, formula_id in enumerate(ids):
-        if formula_id in ids[:n]:
+    firsts: dict[tuple[str, int], str] = {}
+    for formula_id in ids:
+        first = firsts.get(key := parse_formula_id(formula_id))
+        if first == formula_id:
             raise FormulaIdError(f"formula id {formula_id!r} is given more than once")
-        first = parsed.setdefault(parse_formula_id(formula_id), formula_id)
-        if first != formula_id:
+        if first is not None:
             raise FormulaIdError(f"formula id {formula_id!r} names the same formula as {first!r}")
+        firsts[key] = formula_id
     u, du = _resolve_function(args.function)
     _require_finite("x0", args.x0)
     grid = _spacing_grid(args.h_max, args.h_min, args.h_factor)
@@ -268,22 +269,20 @@ def cmd_study(args: argparse.Namespace) -> int:
     # Every id builds before any sample is taken or any CSV written.  Ids whose
     # stencils are equal (FC<p> and BC<p>, C<n> and IC<n>) share one report:
     # the first id of each group stands for all of them.
-    groups: dict[tuple, list[str]] = {}
-    named = []
-    for (name, p), formula_id in parsed.items():
-        s = flatten(family_named(name).build(p)[0])
-        group = groups.setdefault((s.m, s.offsets, s.weights), [])
-        if not group:
-            named.append((formula_id, s))
-        group.append(formula_id)
+    groups: dict[tuple, tuple[Stencil, list[str]]] = {}
+    for formula_id in ids:
+        s = flatten(formula_from_id(formula_id))
+        groups.setdefault((s.m, s.offsets, s.weights), (s, []))[1].append(formula_id)
     # This call takes every sample, so a sample that fails leaves no directory.
-    reports = convergence_studies(named, u, df_true, args.x0, grid)
+    reports = convergence_studies(
+        [(group[0], s) for s, group in groups.values()], u, df_true, args.x0, grid
+    )
     csv_dir = Path(args.csv_dir)
     h_texts = [*map(repr, grid)]  # once per request: every report shares the grid
     lines: dict[str, str] = {}
     try:
         csv_dir.mkdir(parents=True, exist_ok=True)
-        for report, group in zip(reports, groups.values()):
+        for report, (_, group) in zip(reports, groups.values()):
             errors = report.abs_errors
             rows = [f"h,abs_error,observed_order\n{h_texts[0]},{errors[0]!r},\n"]
             rows += [f"{h},{e!r},{o!r}\n"

@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
 from .exactmath import Rational, RationalLike, exact, format_rational, node_sum
@@ -188,12 +188,6 @@ class GridFunction:
 
     def __init__(self, samples: Mapping[RationalLike, object]):
         self.samples = {exact(i): v for i, v in samples.items()}
-
-    @classmethod
-    def tabulate(
-        cls, fn: Callable[[Rational], object], indices: Iterable[RationalLike]
-    ) -> "GridFunction":
-        return cls({i: fn(i) for i in map(exact, indices)})
 
     def value(self, index: RationalLike):
         index = exact(index)

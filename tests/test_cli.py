@@ -34,6 +34,15 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_process(*argv, preexec_fn=None, **env):
+    """Run ``python -m fdcorr.cli *argv`` in a fresh process, ``env`` added to its environment."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fdcorr.__file__).parents[1]), **env)
+    return subprocess.run(
+        [sys.executable, "-m", "fdcorr.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=preexec_fn,
+    )
+
+
 def exits_2_before_generating(capsys, monkeypatch, *argv):
     """Run ``argv`` with generation disabled; return its stderr."""
 
@@ -104,15 +113,7 @@ class TestFormulaIds:
         "formula_id", ["C" + "9" * 1000, "centered:p=" + "9" * 700], ids=["C9x1000", "p9x700"]
     )
     def test_long_number_under_a_lowered_int_digit_limit_exits_2(self, formula_id):
-        env = dict(
-            os.environ,
-            PYTHONPATH=str(Path(fdcorr.__file__).parents[1]),
-            PYTHONINTMAXSTRDIGITS="640",
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "fdcorr.cli", "stencil", formula_id],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = run_process("stencil", formula_id, PYTHONINTMAXSTRDIGITS="640")
         assert (proc.returncode, proc.stdout) == (2, "")
         assert "Traceback" not in proc.stderr
         assert proc.stderr.endswith(f"is above the cap {MAX_ORDER}\n")
@@ -416,6 +417,10 @@ class TestStudy:
         "ids, message",
         [
             ("C4,c4", "formula id 'c4' names the same formula as 'C4'"),
+            # the first repeat in id order is the one reported
+            ("C4,c4,C4", "formula id 'c4' names the same formula as 'C4'"),
+            # whitespace around an id is no second spelling
+            (" C4 , C4", "formula id 'C4' is given more than once"),
             ("centered:p=1,C4", "formula id 'C4' names the same formula as 'centered:p=1'"),
         ],
     )
@@ -446,6 +451,9 @@ class TestStudy:
             assert out_alone.rsplit(", csv ", 1)[0] == line.rsplit(", csv ", 1)[0]
             got = (tmp_path / "all" / f"{formula_id}.csv").read_bytes()
             assert got == (alone / f"{formula_id}.csv").read_bytes()
+        for pair in [("BC6", "FC6"), ("C6", "IC6")]:
+            first, second = ((tmp_path / "all" / f"{fid}.csv").read_bytes() for fid in pair)
+            assert first == second
 
     def test_each_distinct_stencil_is_reported_once(self, capsys, monkeypatch, tmp_path):
         received = []
@@ -563,12 +571,10 @@ class TestStudy:
         # would hit the address-space cap or the timeout rather than hang the suite
         resource = pytest.importorskip("resource")
         cap = 2**29
-        env = dict(os.environ, PYTHONPATH=str(Path(fdcorr.__file__).parents[1]))
         csv_dir = tmp_path / "csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "fdcorr.cli", "study", "C4", "sin100pi", "0", "--csv-dir",
-             str(csv_dir), "--h-max", h_max, "--h-min", "5e-324", "--h-factor", factor],
-            capture_output=True, text=True, env=env, timeout=60,
+        proc = run_process(
+            "study", "C4", "sin100pi", "0", "--csv-dir", str(csv_dir),
+            "--h-max", h_max, "--h-min", "5e-324", "--h-factor", factor,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
         )
         assert proc.returncode == 2
@@ -585,12 +591,8 @@ class TestStudy:
         assert len((tmp_path / "C4.csv").read_text().splitlines()) == 1 + 1994
 
     def test_overflowing_polynomial_exits_2_without_traceback(self, tmp_path):
-        env = dict(os.environ, PYTHONPATH=str(Path(fdcorr.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "fdcorr.cli", "study", "C4", "poly:x^2", "0",
-             "--csv-dir", str(tmp_path), "--h-max", "1e300", "--h-min", "1e-300"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = run_process("study", "C4", "poly:x^2", "0",
+                           "--csv-dir", str(tmp_path), "--h-max", "1e300", "--h-min", "1e-300")
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines() == [
@@ -608,13 +610,8 @@ class TestStudy:
         ids=["zero-denominator", "huge-coefficient", "long-degree", "huge-degree"],
     )
     def test_unreadable_polynomial_term_exits_2_before_any_directory(self, tmp_path, body, term):
-        env = dict(os.environ, PYTHONPATH=str(Path(fdcorr.__file__).parents[1]))
         csv_dir = tmp_path / "csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "fdcorr.cli", "study", "C4", f"poly:{body}", "0",
-             "--csv-dir", str(csv_dir)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = run_process("study", "C4", f"poly:{body}", "0", "--csv-dir", str(csv_dir))
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [
             f"fdcorr: error: cannot parse polynomial term {term!r}"
@@ -623,17 +620,14 @@ class TestStudy:
 
     def test_polynomial_overflowing_after_the_power_exits_2(self, tmp_path):
         # x**2 is finite at x = -6e153, but 9 * x**2 is inf without raising
-        env = dict(os.environ, PYTHONPATH=str(Path(fdcorr.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "fdcorr.cli", "study", "C4", "poly:9x^2", "0",
-             "--csv-dir", str(tmp_path), "--h-max", "4e153", "--h-min", "1e153"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        csv_dir = tmp_path / "csv"
+        proc = run_process("study", "C4", "poly:9x^2", "0",
+                           "--csv-dir", str(csv_dir), "--h-max", "4e153", "--h-min", "1e153")
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [
             "fdcorr: error: function 'poly:9x^2' overflows at x = -5.9999999999999996e+153"
         ]
-        assert not list(tmp_path.glob("*.csv"))
+        assert not csv_dir.exists()
 
     @pytest.mark.parametrize("function", ["sin100pi", "sin1000pi"])
     @pytest.mark.parametrize(
@@ -647,13 +641,8 @@ class TestStudy:
     def test_overflowing_sine_exits_2_before_any_directory(
         self, tmp_path, function, where, flags, x
     ):
-        env = dict(os.environ, PYTHONPATH=str(Path(fdcorr.__file__).parents[1]))
         csv_dir = tmp_path / "csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "fdcorr.cli", "study", "C4", function, where,
-             "--csv-dir", str(csv_dir), *flags],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = run_process("study", "C4", function, where, "--csv-dir", str(csv_dir), *flags)
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [
             f"fdcorr: error: function {function!r} overflows at x = {x}"

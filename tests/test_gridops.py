@@ -239,11 +239,11 @@ class TestNormalizeComposite:
 
 class TestApply:
     def test_forward_on_linear(self):
-        u = GridFunction.tabulate(lambda t: t, range(-5, 6))
+        u = GridFunction({i: Fraction(i) for i in range(-5, 6)})
         assert apply(word(fwd=1), u, 2, Fraction(1)) == 1
 
     def test_fourth_difference_on_quartic(self):
-        u = GridFunction.tabulate(lambda t: t**4, range(-5, 6))
+        u = GridFunction({i: Fraction(i) ** 4 for i in range(-5, 6)})
         assert apply(word(fwd=2, bwd=2), u, 0, Fraction(1)) == 24
 
     def test_matches_binomial_sum_formula(self):
@@ -317,13 +317,12 @@ class TestFloatIndices:
         "call",
         [
             lambda u: GridFunction({0: 1, 0.1: 2}),
-            lambda u: GridFunction.tabulate(lambda t: t, [0, 0.1]),
             lambda u: u.value(0.1),
             lambda u: GridRangeError(0.1),
             lambda u: apply(word(fwd=1), u, 0.1, 1),
             lambda u: product_rule_check(1, u, u, 0.1, 1),
         ],
-        ids=["GridFunction", "tabulate", "value", "GridRangeError", "apply", "product_rule_check"],
+        ids=["GridFunction", "value", "GridRangeError", "apply", "product_rule_check"],
     )
     def test_float_index_is_named_in_a_type_error(self, call):
         with pytest.raises(TypeError) as excinfo:
@@ -333,9 +332,8 @@ class TestFloatIndices:
     def test_exact_indices_and_strings_pass(self):
         u = GridFunction({"1/2": 5, "3/2": 6})
         assert u.value(HALF) == u.value("2/4") == 5
-        seen = []
-        v = GridFunction.tabulate(lambda t: seen.append(t) or t, ["1/2", 2])
-        assert seen == [HALF, 2] and all(type(t) is Fraction for t in seen)
+        v = GridFunction({"1/2": HALF, 2: 2})
+        assert list(v.samples) == [HALF, 2] and all(type(t) is Fraction for t in v.samples)
         assert v.value(2) == 2
         assert apply(word(fwd=1), u, "1/2", 1) == 1
         assert str(GridRangeError("3/6")) == "no sample at grid index 1/2"
