@@ -8,6 +8,11 @@ against an independent moment-condition solver (:mod:`fdcorr.stencil`);
 :mod:`fdcorr.numdiff` evaluates stencils in floating point and runs
 convergence studies, and :mod:`fdcorr.cli` exposes all of it on the command
 line.  Every coefficient is an exact rational.
+
+``import fdcorr`` loads the five exact modules.  :mod:`fdcorr.numdiff` loads
+on first use (PEP 562): reading ``fdcorr.numdiff``, one of its names,
+``fdcorr.__all__`` or ``dir(fdcorr)``, or ``from fdcorr import *``, which binds
+the same names as an eager import would.
 """
 
 from .exactmath import *
@@ -15,14 +20,34 @@ from .gridops import *
 from .taylorseries import *
 from .defcor import *
 from .stencil import *
-from .numdiff import *
 
 __version__ = "0.1.0"
 
-__all__: list[str] = []
-__all__ += exactmath.__all__
-__all__ += gridops.__all__
-__all__ += taylorseries.__all__
-__all__ += defcor.__all__
-__all__ += stencil.__all__
-__all__ += numdiff.__all__
+
+def __getattr__(name: str) -> object:
+    # Called only for a name the namespace lacks; each value found is bound
+    # here, so the next read is a plain attribute.  numdiff exports no
+    # underscore name, so those never load it.
+    if name.startswith("_") and name != "__all__":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    numdiff = importlib.import_module(".numdiff", __name__)  # binds ``numdiff`` here
+    if name == "__all__":
+        modules = (exactmath, gridops, taylorseries, defcor, stencil, numdiff)
+        value = [public for module in modules for public in module.__all__]
+    elif name in numdiff.__all__:
+        value = getattr(numdiff, name)
+    elif name == "numdiff":
+        return numdiff
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    import sys
+
+    public = sys.modules[__name__].__all__  # first, as it may bind ``numdiff``
+    return sorted({*globals(), *public})

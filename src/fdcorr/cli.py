@@ -25,7 +25,6 @@ from fractions import Fraction
 
 from .defcor import FAMILIES, CorrectionFormula, Family, catalog, family_named
 from .exactmath import Rational, format_rational
-from .numdiff import convergence_studies
 from .stencil import FlattenError, Stencil, flatten, oracle_weights, verify
 
 __all__ = ["main", "console_main", "parse_formula_id", "formula_from_id"]
@@ -95,10 +94,31 @@ def formula_from_id(formula_id: str) -> CorrectionFormula:
     return family_named(name).build(p)[0]
 
 
-def _json_dumps(obj: dict) -> str:
-    import json
+def _json_dumps(obj: object, pad: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)`` for the payloads ``stencil`` and ``coeffs --json`` print.
 
-    return json.dumps(obj, indent=2, sort_keys=False)
+    Writes dicts with ``str`` keys, lists, ``str`` and ``int``, so no command
+    imports :mod:`json`, whose indenting encoder leaves reference cycles
+    behind.  A string is written only if ``json`` writes it verbatim
+    (printable ASCII without ``"`` or ``\\``); any other string or type
+    raises ``TypeError``.  ``pad`` starts each line of the enclosing level.
+    """
+    kind = type(obj)
+    if kind is int:
+        return repr(obj)
+    if kind is str and obj.isascii() and obj.isprintable() and '"' not in obj and "\\" not in obj:
+        return f'"{obj}"'
+    inner = pad + "  "
+    if kind is list:
+        items = [_json_dumps(item, inner) for item in obj]
+    elif kind is dict and all(type(key) is str for key in obj):
+        items = [f"{_json_dumps(key)}: {_json_dumps(value, inner)}" for key, value in obj.items()]
+    else:
+        raise TypeError(f"cannot write {obj!r} as JSON verbatim")
+    brackets = "[]" if kind is list else "{}"
+    if not items:
+        return brackets
+    return f"{brackets[0]}{inner}{f',{inner}'.join(items)}{pad}{brackets[1]}"
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +267,10 @@ set key left top
 
 
 def cmd_study(args: argparse.Namespace) -> int:
-    from pathlib import Path  # only ``study`` writes files; ``import fdcorr.cli`` skips it
+    # Only ``study`` evaluates in floats and writes files; ``import fdcorr.cli`` skips both.
+    from pathlib import Path
+
+    from .numdiff import convergence_studies
 
     ids = [part.strip() for part in args.formula_ids.split(",") if part.strip()]
     if not ids:

@@ -16,6 +16,7 @@ import fdcorr
 from fdcorr.cli import (
     MAX_ORDER,
     FormulaIdError,
+    _json_dumps,
     _parse_polynomial,
     _resolve_function,
     formula_from_id,
@@ -291,6 +292,48 @@ class TestStencil:
         assert excinfo.value.code == 2
 
 
+# Every id the benchmark's ``deep`` workload can draw.
+DEEP_IDS = [f"{prefix}{order}" for prefix in ("B", "F", "BC", "FC") for order in range(33, 37)]
+DEEP_IDS += ["C40", "C42", "CA40", "CA42", "IC36", "IC38"]
+
+
+class TestJsonWriter:
+    """``_json_dumps`` writes what ``json.dumps(obj, indent=2)`` writes, or refuses."""
+
+    @pytest.mark.parametrize("formula_id", DEEP_IDS)
+    def test_stencil_payload(self, formula_id):
+        payload = flatten(formula_from_id(formula_id)).to_json_dict()
+        assert _json_dumps(payload) == json.dumps(payload, indent=2)
+
+    @pytest.mark.parametrize("p", [2, 7, 20])
+    @pytest.mark.parametrize("row", FAMILIES, ids=lambda f: f.name)
+    def test_coeffs_payload(self, capsys, row, p):
+        code, out, _ = run(capsys, "coeffs", row.name, str(p), "--json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "obj",
+        [{}, [], {"a": {}, "b": []}, [[], {}, [[]]], {"k": [0, -12, "x", {"n": {"m": []}}]}, "", 7],
+    )
+    def test_empty_and_nested_containers(self, obj):
+        assert _json_dumps(obj) == json.dumps(obj, indent=2)
+
+    def test_printable_ascii_but_quote_and_backslash_is_written_verbatim(self):
+        text = "".join(chr(c) for c in range(32, 127) if chr(c) not in '"\\')
+        obj = {text: [text]}
+        assert _json_dumps(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize(
+        "obj",
+        ['a"b', "a\\b", "a\nb", "\t", "\x7f", "\u00e9", "\U0001f600", {"a\nb": 1}, {1: "a"},
+         True, 1.0, None, (1,), ["ok", None]],
+    )
+    def test_anything_json_would_escape_or_convert_is_refused(self, obj):
+        with pytest.raises(TypeError):
+            _json_dumps(obj)
+
+
 class TestStudy:
     def test_polynomial_study_floors(self, capsys, tmp_path):
         code, out, _ = run(
@@ -462,7 +505,7 @@ class TestStudy:
             received.extend(named)
             return convergence_studies(named, *args)
 
-        monkeypatch.setattr(fdcorr.cli, "convergence_studies", recording)
+        monkeypatch.setattr(fdcorr.numdiff, "convergence_studies", recording)
         code, out, _ = run(capsys, "study", ",".join(STUDY_IDS), "sin100pi", "0.1",
                            "--csv-dir", str(tmp_path), "--h-max", "1e-3", "--h-min", "2.5e-4")
         assert code == 0
@@ -800,6 +843,19 @@ class TestRepeatedCalls:
         assert main(argv) == 0
         monkeypatch.undo()
         assert calls == {"hash": 0, "rewrap": 0, "rmul": 0}
+
+    @pytest.mark.parametrize("argv", [["stencil", "C4"], ["coeffs", "interior", "2", "--json"]])
+    def test_second_json_call_leaves_nothing_for_the_cyclic_collector(self, capsys, argv):
+        # ``json.dumps(..., indent=2)`` left about 33 objects in cycles per call
+        first = self.outcome(capsys, argv)
+        gc.collect()
+        gc.disable()
+        try:
+            assert self.outcome(capsys, argv) == first
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert garbage == 0
 
     def test_second_call_leaves_no_cyclic_garbage(self, capsys, tmp_path):
         argv = ["study", "C4,B6", "sin100pi", "0.1", "--csv-dir", str(tmp_path)]

@@ -1,4 +1,4 @@
-"""The package's public surface: each module's ``__all__``, re-exported once; no dependencies."""
+"""The package's public surface: each module's ``__all__``, re-exported once; what each import loads."""
 
 import importlib
 import os
@@ -25,28 +25,32 @@ def test_module_surface_is_in_the_package_surface(short):
         assert getattr(fdcorr, name) is getattr(module, name)
 
 
-def _loaded_by(module: str) -> set[str]:
-    """Top-level names of every module loaded by ``import <module>`` in a fresh interpreter."""
+def _fresh(code: str, *args: str) -> str:
+    """Stdout of ``code`` run on ``args`` in a fresh interpreter that finds this fdcorr."""
     # ``-S`` keeps site-packages and whatever ``site`` itself imports out
     env = dict(os.environ, PYTHONPATH=str(Path(fdcorr.__file__).parents[1]))
-    code = f"import sys, {module}; print(*{{name.partition('.')[0] for name in sys.modules}})"
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-S", "-c", code, *args], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.split())
+    return proc.stdout
+
+
+def _loaded_by(module: str) -> set[str]:
+    """Every module loaded by ``import <module>`` in a fresh interpreter."""
+    return set(_fresh(f"import sys, {module}; print(*sys.modules)").split())
 
 
 def test_the_cli_loads_only_the_standard_library():
-    loaded = _loaded_by("fdcorr.cli")
+    loaded = {name.partition(".")[0] for name in _loaded_by("fdcorr.cli")}
     assert "fdcorr" in loaded
     assert sorted(loaded - {"fdcorr", "__main__"} - sys.stdlib_module_names) == []
 
 
 # No command needs these at import time, and ``dataclasses`` alone (with the
 # ``inspect``, ``ast`` and ``dis`` it loads) costs about as much to import as
-# all of ``fdcorr.cli`` does without it.
-_COLD = {"dataclasses", "inspect", "typing", "pathlib", "json"}
+# all of ``fdcorr.cli`` does without it.  Only ``study`` evaluates in floats.
+_COLD = {"dataclasses", "inspect", "typing", "pathlib", "json", "fdcorr.numdiff"}
 
 
 @pytest.mark.parametrize(
@@ -56,3 +60,45 @@ _COLD = {"dataclasses", "inspect", "typing", "pathlib", "json"}
 )
 def test_the_import_loads_nothing_its_commands_do_not_run(module, absent):
     assert sorted(_loaded_by(module) & absent) == []
+
+
+# The package's names before ``numdiff`` loaded on first use; the star-import binds them all.
+_PUBLIC = (
+    "ConvergenceReport CorrectionFormula DegenerateChoiceError ErrorSeries FlattenError "
+    "GridFunction GridRangeError OperatorExpr Rational Stencil StencilCheck apply apply_stencil "
+    "backward_centered binom centered_average_formula centered_formula convergence_studies "
+    "default_truncation error_series expand flatten format_rational forward_centered "
+    "general_defcor interior_centered moment_sum normalize_composite oracle_weights "
+    "product_rule_check series_from_nodes standard_backward standard_forward verify word"
+).split()
+
+_COMMANDS = """
+import contextlib, io, sys
+from fdcorr.cli import main
+
+def loaded():
+    return sorted({"fdcorr.numdiff", "json"} & set(sys.modules))
+
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["stencil", "C4"])
+    main(["coeffs", "interior", "2", "--json"])
+    one_shot = loaded()
+    main(["study", "C4", "sin100pi", "0.1", "--csv-dir", sys.argv[1]])
+print(one_shot, loaded())
+"""
+
+
+def test_only_study_loads_numdiff_and_no_command_loads_json(tmp_path):
+    assert _fresh(_COMMANDS, str(tmp_path)) == "[] ['fdcorr.numdiff']\n"
+
+
+def test_the_star_import_binds_every_name_numdiff_included():
+    code = 'from fdcorr import *; print(*sorted(name for name in dir() if name[0] != "_"))'
+    assert _fresh(code).split() == sorted(_PUBLIC)
+    code = """
+import fdcorr
+listed = set(dir(fdcorr))
+print({*fdcorr.__all__, "numdiff"} <= listed,
+      fdcorr.convergence_studies is fdcorr.numdiff.convergence_studies)
+"""
+    assert _fresh(code) == "True True\n"
