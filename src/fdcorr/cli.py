@@ -10,7 +10,7 @@ Interior-centered formulas approximate at the midpoint of an interval whose
 endpoints are their widest nodes; for ``study`` the given ``x0`` is that
 midpoint and the interval endpoints follow from the spacing.
 
-Commands: ``coeffs``, ``stencil``, ``study``, ``verify-all``.
+Commands: ``coeffs``, ``stencil``, ``verify-all``, ``study`` (its rules: :mod:`fdcorr.numdiff`).
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ import functools
 import math
 import re
 import sys
-from collections.abc import Callable, Sequence
-from fractions import Fraction
+from collections.abc import Sequence
 
 from .defcor import FAMILIES, CorrectionFormula, Family, catalog, family_named
 from .exactmath import Rational, format_rational
@@ -29,8 +28,6 @@ from .stencil import FlattenError, Stencil, flatten, oracle_weights, verify
 
 __all__ = ["main", "console_main", "parse_formula_id", "formula_from_id"]
 
-# Longest spacing grid ``study`` accepts.
-_MAX_SPACINGS = 100_000
 # Highest accuracy order any command builds (order 200 takes seconds).
 MAX_ORDER = 200
 # The sine study functions, ``sin(omega x)``, by name.
@@ -173,104 +170,11 @@ def cmd_stencil(args: argparse.Namespace) -> int:
 # study
 
 
-def _parse_polynomial(text: str) -> dict[int, float]:
-    """Parse ``x^3``, ``2x^4-3x+1`` style bodies into {degree: coefficient}."""
-    body = text.replace(" ", "").replace("**", "^").replace("*", "")
-    if not body:
-        raise FormulaIdError("empty polynomial")
-    # Split before each sign but a leading one: a stray sign is a term that fails.
-    terms = re.split(r"(?<=.)(?=[+-])", body)
-    poly: dict[int, float] = {}
-    for term in terms:
-        match = re.fullmatch(r"([+-]?)(\d+(?:\.\d+)?|\d+/\d+)?(x(?:\^(\d+))?)?", term)
-        if not match or (match.group(2) is None and match.group(3) is None):
-            raise FormulaIdError(f"cannot parse polynomial term {term!r}")
-        sign, coeff_text, power, degree_text = match.groups()
-        try:
-            coeff = float(Fraction(coeff_text)) if coeff_text else 1.0
-            degree = int(degree_text) if degree_text else int(power is not None)
-            float(degree)  # the derivative's coefficient is ``coeff * degree``
-        except (ZeroDivisionError, OverflowError, ValueError):
-            # a zero denominator, a number past float range or past int's digit limit
-            raise FormulaIdError(f"cannot parse polynomial term {term!r}") from None
-        poly[degree] = poly.get(degree, 0.0) + (-coeff if sign == "-" else coeff)
-    return poly
-
-
-def _checked(name: str, f: Callable[[float], float]) -> Callable[[float], float]:
-    """``f``, raising ``FormulaIdError`` wherever it overflows a float."""
-
-    def evaluate(x: float) -> float:
-        try:
-            if math.isfinite(value := f(x)):
-                return value
-        except (OverflowError, ValueError):  # ``x**d`` past float range, ``sin(inf)``
-            pass
-        raise FormulaIdError(f"function {name!r} overflows at x = {x!r}")
-
-    return evaluate
-
-
-def _resolve_function(name: str) -> tuple[Callable[[float], float], Callable[[float], float]]:
-    """Return (u, u') for a study function id, each through :func:`_checked`."""
-    if name.startswith("poly:"):
-        terms = sorted(_parse_polynomial(name[len("poly:") :]).items())
-        slopes = [(d - 1, c * d) for d, c in terms if d]
-        pair = (lambda x: sum([c * x**d for d, c in terms]),
-                lambda x: sum([c * x**d for d, c in slopes]))
-    elif (omega := _SINES.get(name)) is not None:
-        pair = (lambda x: math.sin(omega * x), lambda x: omega * math.cos(omega * x))
-    else:
-        expected = ", ".join(_SINES)
-        raise FormulaIdError(f"unknown function id {name!r} (expected {expected}, or poly:...)")
-    return _checked(name, pair[0]), _checked(name, pair[1])
-
-
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise FormulaIdError(f"{name} must be finite, got {value}")
-
-
-def _spacing_grid(h_max: float, h_min: float, factor: float) -> list[float]:
-    for name, value in (("--h-max", h_max), ("--h-min", h_min), ("--h-factor", factor)):
-        _require_finite(name, value)
-    if h_max <= 0 or h_min <= 0 or h_max < h_min:
-        raise FormulaIdError("need 0 < h-min <= h-max")
-    if factor <= 1.0:
-        raise FormulaIdError("h-factor must exceed 1")
-    # Size the grid before building it: a factor just above 1 or a huge
-    # h-max/h-min ratio would otherwise allocate millions of spacings.
-    if (math.log(h_max) - math.log(h_min)) / math.log(factor) >= _MAX_SPACINGS:
-        raise FormulaIdError(
-            f"spacing grid from {h_max} to {h_min} by factor {factor} "
-            f"has more than {_MAX_SPACINGS} spacings"
-        )
-    grid = []
-    h = h_max
-    while h >= h_min * (1.0 - 1e-12):
-        grid.append(h)
-        if (h := h / factor) == grid[-1]:  # among subnormals h / factor can round to h
-            raise FormulaIdError(f"spacing grid stops shrinking at {h}: h / {factor} rounds to h")
-    if len(grid) < 3:
-        raise FormulaIdError("spacing grid has fewer than 3 points")
-    return grid
-
-
-_GNUPLOT_HEADER = """\
-set datafile separator ','
-set logscale xy
-set xlabel 'h'
-set ylabel 'absolute error'
-set format y '%.0e'
-set key left top
-"""
-
-
 def cmd_study(args: argparse.Namespace) -> int:
     # Only ``study`` evaluates in floats and writes files; ``import fdcorr.cli`` skips both.
     from pathlib import Path
 
-    from .numdiff import convergence_studies
+    from . import numdiff
 
     ids = [part.strip() for part in args.formula_ids.split(",") if part.strip()]
     if not ids:
@@ -285,46 +189,33 @@ def cmd_study(args: argparse.Namespace) -> int:
         if first is not None:
             raise FormulaIdError(f"formula id {formula_id!r} names the same formula as {first!r}")
         firsts[key] = formula_id
-    u, du = _resolve_function(args.function)
-    _require_finite("x0", args.x0)
-    grid = _spacing_grid(args.h_max, args.h_min, args.h_factor)
-    df_true = du(args.x0)
-    # Every id builds before any sample is taken or any CSV written.  Ids whose
-    # stencils are equal (FC<p> and BC<p>, C<n> and IC<n>) share one report:
-    # the first id of each group stands for all of them.
     groups: dict[tuple, tuple[Stencil, list[str]]] = {}
-    for formula_id in ids:
-        s = flatten(formula_from_id(formula_id))
-        groups.setdefault((s.m, s.offsets, s.weights), (s, []))[1].append(formula_id)
-    # This call takes every sample, so a sample that fails leaves no directory.
-    reports = convergence_studies(
-        [(group[0], s) for s, group in groups.values()], u, df_true, args.x0, grid
-    )
+    try:
+        u, df_true, grid = numdiff._study_input(args.function, _SINES, args.x0, args.h_max,
+                                                args.h_min, args.h_factor)
+        # Every id builds before any sample is taken or any CSV written.  Ids whose
+        # stencils are equal (FC<p> and BC<p>, C<n> and IC<n>) share one report:
+        # the first id of each group stands for all of them.
+        for formula_id in ids:
+            s = flatten(formula_from_id(formula_id))
+            groups.setdefault((s.m, s.offsets, s.weights), (s, []))[1].append(formula_id)
+        # This call takes every sample, so a sample that fails leaves no directory.
+        named = [(group[0], s) for s, group in groups.values()]
+        reports = numdiff.convergence_studies(named, u, df_true, args.x0, grid)
+    except numdiff._StudyInputError as exc:
+        raise FormulaIdError(str(exc)) from exc
     csv_dir = Path(args.csv_dir)
-    h_texts = [*map(repr, grid)]  # once per request: every report shares the grid
     lines: dict[str, str] = {}
     try:
         csv_dir.mkdir(parents=True, exist_ok=True)
-        for report, (_, group) in zip(reports, groups.values()):
-            errors = report.abs_errors
-            rows = [f"h,abs_error,observed_order\n{h_texts[0]},{errors[0]!r},\n"]
-            rows += [f"{h},{e!r},{o!r}\n"
-                     for h, e, o in zip(h_texts[1:], errors[1:], report.observed_orders)]
-            text = "".join(rows)
-            fitted = report.fitted_order()
-            fitted_text = "n/a" if math.isnan(fitted) else f"{fitted:.2f}"
-            summary = f"fitted order {fitted_text}, min error {report.min_error():.3e}"
+        for (text, summary), (_, group) in zip(numdiff._csv_texts(reports, grid), groups.values()):
             for formula_id in group:
                 path = csv_dir / f"{formula_id}.csv"
                 path.write_text(text, newline="")
                 lines[formula_id] = f"{formula_id}: {summary}, csv {path}"
         if args.gnuplot:
             script = csv_dir / "study.gp"
-            plots = ", ".join(
-                f"'{formula_id}.csv' using 1:2 with linespoints title '{formula_id}'"
-                for formula_id in ids
-            )
-            script.write_text(_GNUPLOT_HEADER + f"plot {plots}\n")
+            script.write_text(numdiff._gnuplot_script(ids))
     except OSError as exc:
         message = f"cannot write to --csv-dir {args.csv_dir!r}: {exc.strerror}"
         raise FormulaIdError(message) from exc

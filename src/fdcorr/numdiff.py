@@ -14,13 +14,15 @@ whichever stencil uses it, so results are bit-identical to summing each
 stencil alone over its nodes converted to float.  Without compensated
 summation the roundoff plateau at small spacing stays visible.
 
-The module opens no file: ``fdcorr study`` (:mod:`fdcorr.cli`) writes the
-reports as CSV.
+The rules of ``fdcorr study`` live here too: its sample functions, checked
+to stay finite, its spacing grid and the text it writes.  Bad input raises
+``_StudyInputError``, a ``ValueError``.  The module opens no file.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -35,6 +37,13 @@ __all__ = [
     "convergence_studies",
 ]
 
+# Longest spacing grid ``study`` accepts.
+_MAX_SPACINGS = 100_000
+
+
+class _StudyInputError(ValueError):
+    """Input the float layer cannot evaluate; ``fdcorr study`` exits 2 with its message."""
+
 
 def apply_stencil(s: Stencil, f: Callable, x0: float | Rational, h: float | Rational):
     """Evaluate ``h**-m * sum_j w_j f(x0 + o_j h)``.
@@ -48,7 +57,7 @@ def apply_stencil(s: Stencil, f: Callable, x0: float | Rational, h: float | Rati
     result is exact for an exact ``f``.
     """
     if h <= 0:
-        raise ValueError("spacing h must be positive")
+        raise _StudyInputError("spacing h must be positive")
     if not (isinstance(x0, float) or isinstance(h, float)):
         x, step = Fraction(x0), Fraction(h)
         return node_sum(s.nodes(), lambda offset: f(x + offset * step), step, s.m)
@@ -58,7 +67,7 @@ def apply_stencil(s: Stencil, f: Callable, x0: float | Rational, h: float | Rati
 
 def _finite(name: str, value) -> float:
     if not math.isfinite(value := float(value)):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+        raise _StudyInputError(f"{name} must be finite, got {value!r}")
     return value
 
 
@@ -161,11 +170,11 @@ def convergence_studies(
     """
     spacings = tuple(float(h) for h in h_list)
     if len(spacings) < 3:
-        raise ValueError("need at least three spacings")
+        raise _StudyInputError("need at least three spacings")
     if any(b >= a for a, b in zip(spacings, spacings[1:])):
-        raise ValueError("spacings must be strictly decreasing")
+        raise _StudyInputError("spacings must be strictly decreasing")
     if any(h <= 0 for h in spacings):
-        raise ValueError("spacing h must be positive")
+        raise _StudyInputError("spacing h must be positive")
     for h in spacings:
         _finite("spacing h", h)
     _finite("df_true", df_true)
@@ -191,3 +200,103 @@ def _report(formula_id, m, total, df_true, spacings, log_steps) -> ConvergenceRe
         (i for i in range(1, len(errors)) if errors[i] > 2.0 * errors[i - 1]), len(errors)
     )
     return ConvergenceReport(formula_id, spacings, errors, orders, floor)
+
+
+def _parse_polynomial(text: str) -> dict[int, float]:
+    """Parse ``x^3``, ``2x^4-3x+1`` style bodies into {degree: coefficient}."""
+    body = text.replace(" ", "").replace("**", "^").replace("*", "")
+    if not body:
+        raise _StudyInputError("empty polynomial")
+    # Split before each sign but a leading one: a stray sign is a term that fails.
+    terms = re.split(r"(?<=.)(?=[+-])", body)
+    poly: dict[int, float] = {}
+    for term in terms:
+        match = re.fullmatch(r"([+-]?)(\d+(?:\.\d+)?|\d+/\d+)?(x(?:\^(\d+))?)?", term)
+        if not match or (match.group(2) is None and match.group(3) is None):
+            raise _StudyInputError(f"cannot parse polynomial term {term!r}")
+        sign, coeff_text, power, degree_text = match.groups()
+        try:
+            coeff = float(Fraction(coeff_text)) if coeff_text else 1.0
+            degree = int(degree_text) if degree_text else int(power is not None)
+            float(degree)  # the derivative's coefficient is ``coeff * degree``
+        except (ZeroDivisionError, OverflowError, ValueError):
+            # a zero denominator, a number past float range or past int's digit limit
+            raise _StudyInputError(f"cannot parse polynomial term {term!r}") from None
+        poly[degree] = poly.get(degree, 0.0) + (-coeff if sign == "-" else coeff)
+    return poly
+
+
+def _checked(name: str, f: Callable[[float], float]) -> Callable[[float], float]:
+    """``f``, raising ``_StudyInputError`` wherever it overflows a float."""
+
+    def evaluate(x: float) -> float:
+        try:
+            if math.isfinite(value := f(x)):
+                return value
+        except (OverflowError, ValueError):  # ``x**d`` past float range, ``sin(inf)``
+            pass
+        raise _StudyInputError(f"function {name!r} overflows at x = {x!r}")
+
+    return evaluate
+
+
+def _resolve_function(name: str, sines: dict[str, float]) -> tuple[Callable, Callable]:
+    """(u, u') for a study function id, each through :func:`_checked`; ``sines`` maps to omega."""
+    if name.startswith("poly:"):
+        terms = sorted(_parse_polynomial(name[len("poly:") :]).items())
+        slopes = [(d - 1, c * d) for d, c in terms if d]
+        pair = (lambda x: sum([c * x**d for d, c in terms]),
+                lambda x: sum([c * x**d for d, c in slopes]))
+    elif (omega := sines.get(name)) is not None:
+        pair = (lambda x: math.sin(omega * x), lambda x: omega * math.cos(omega * x))
+    else:
+        expected = ", ".join(sines)
+        raise _StudyInputError(f"unknown function id {name!r} (expected {expected}, or poly:...)")
+    return _checked(name, pair[0]), _checked(name, pair[1])
+
+
+def _study_input(function, sines, x0, h_max, h_min, factor) -> tuple[Callable, float, list]:
+    """``(u, u'(x0), spacings)`` of a ``fdcorr study`` request; bad input raises first."""
+    u, du = _resolve_function(function, sines)
+    for name, value in (("x0", x0), ("--h-max", h_max), ("--h-min", h_min), ("--h-factor", factor)):
+        _finite(name, value)
+    if h_max <= 0 or h_min <= 0 or h_max < h_min:
+        raise _StudyInputError("need 0 < h-min <= h-max")
+    if factor <= 1.0:
+        raise _StudyInputError("h-factor must exceed 1")
+    # Size the grid before building it: a factor just above 1 or a huge
+    # h-max/h-min ratio would otherwise allocate millions of spacings.
+    if (math.log(h_max) - math.log(h_min)) / math.log(factor) >= _MAX_SPACINGS:
+        raise _StudyInputError(
+            f"spacing grid from {h_max} to {h_min} by factor {factor} "
+            f"has more than {_MAX_SPACINGS} spacings"
+        )
+    grid, h = [], h_max
+    while h >= h_min * (1.0 - 1e-12):
+        grid.append(h)
+        if (h := h / factor) == grid[-1]:  # among subnormals h / factor can round to h
+            raise _StudyInputError(f"spacing grid stops shrinking at {h}: h / {factor} rounds to h")
+    if len(grid) < 3:
+        raise _StudyInputError("spacing grid has fewer than 3 points")
+    return u, du(x0), grid
+
+
+def _csv_texts(reports: Iterable[ConvergenceReport], grid) -> Iterator[tuple[str, str]]:
+    """Each report's CSV text and summary line, built as iterated."""
+    h_texts = [*map(repr, grid)]  # once per request: every report shares the grid
+    for report in reports:
+        errors = report.abs_errors
+        rows = [f"h,abs_error,observed_order\n{h_texts[0]},{errors[0]!r},\n"]
+        rows += [f"{h},{e!r},{o!r}\n"
+                 for h, e, o in zip(h_texts[1:], errors[1:], report.observed_orders)]
+        fitted = report.fitted_order()
+        fitted_text = "n/a" if math.isnan(fitted) else f"{fitted:.2f}"
+        yield "".join(rows), f"fitted order {fitted_text}, min error {report.min_error():.3e}"
+
+
+def _gnuplot_script(ids: Sequence[str]) -> str:
+    """A script plotting each id's CSV, written beside them."""
+    plots = ", ".join(f"'{i}.csv' using 1:2 with linespoints title '{i}'" for i in ids)
+    return ("set datafile separator ','\nset logscale xy\nset xlabel 'h'\n"
+            "set ylabel 'absolute error'\nset format y '%.0e'\nset key left top\n"
+            f"plot {plots}\n")

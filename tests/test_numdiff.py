@@ -23,7 +23,7 @@ from fdcorr import (
     standard_forward,
 )
 from fdcorr import numdiff
-from fdcorr.cli import formula_from_id
+from fdcorr.cli import _SINES, formula_from_id
 from fdcorr.defcor import catalog
 
 C4 = flatten(centered_formula(1))
@@ -521,3 +521,25 @@ class TestConvergenceStudies:
         assert reports[0] == reports[2] == reports[3]
         alone = convergence_studies([("C4", C4)], f, 1.0, 0.3, [0.1, 0.05, 0.025])
         assert reports[:1] == list(alone)
+
+
+class TestStudyInput:
+    @pytest.mark.parametrize(
+        "body, poly",
+        [
+            ("x^3", {3: 1.0}),
+            ("2x^4-3x+1", {4: 2.0, 1: -3.0, 0: 1.0}),
+            ("-1x^15-2x^5+8x^2-7", {15: -1.0, 5: -2.0, 2: 8.0, 0: -7.0}),
+            ("+3x^12+9x^7-4x^1+5", {12: 3.0, 7: 9.0, 1: -4.0, 0: 5.0}),
+        ],
+    )
+    def test_polynomial_parser_reads_each_term(self, body, poly):
+        assert numdiff._parse_polynomial(body) == poly
+
+    @pytest.mark.parametrize("function", ["sin100pi", "sin1000pi", "poly:x^2"])
+    def test_every_study_function_and_its_derivative_are_checked(self, function):
+        # at 1e308, omega * x is inf, x**2 raises OverflowError and 2 * x is inf
+        for f in numdiff._resolve_function(function, _SINES):
+            assert math.isfinite(f(0.5))
+            with pytest.raises(numdiff._StudyInputError, match=r"overflows at x = 1e\+308$"):
+                f(1e308)
