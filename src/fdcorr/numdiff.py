@@ -22,6 +22,7 @@ to stay finite, its spacing grid and the text it writes.  Bad input raises
 from __future__ import annotations
 
 import math
+import operator
 import re
 import warnings
 from collections import namedtuple
@@ -52,9 +53,10 @@ def apply_stencil(s: Stencil, f: Callable, x0: float | Rational, h: float | Rati
     and weights converted to float, once per call, and the result is a
     float; nonfinite samples propagate into it, and a warning names the
     node's exact offset so the source is diagnosable; a nonfinite ``x0`` or
-    ``h`` raises before any sample.  If both are ints or rationals, the
-    shared node sum ``exactmath.node_sum`` runs in exact steps, and the
-    result is exact for an exact ``f``.
+    ``h`` raises before any sample, and two nodes that round to one float
+    point raise before the second is sampled.  If both are ints or
+    rationals, the shared node sum ``exactmath.node_sum`` runs in exact
+    steps, and the result is exact for an exact ``f``.
     """
     if h <= 0:
         raise _StudyInputError("spacing h must be positive")
@@ -78,11 +80,19 @@ def _column_sums(stencils, f: Callable, x0: float, spacings) -> list[list[float]
         for exact, weight in s.nodes():
             users.setdefault(float(exact), []).append((k, float(weight), exact))
     totals = [[0.0] * len(spacings) for _ in stencils]
+    below, low = [], None  # the points and exact offset of the offset below
     for offset in sorted(users):
-        column = [f(x0 + offset * h) for h in spacings]
+        points = [x0 + offset * h for h in spacings]
+        # rounding is monotone, so two offsets that sample one point are neighbours
+        if not all(map(operator.lt, below, points)):
+            h, x = next((h, x) for h, a, x in zip(spacings, below, points) if not a < x)
+            raise _StudyInputError(f"offsets {low} and {users[offset][0][2]} both sample x = "
+                                   f"{x!r} at x0 = {x0!r} and spacing h = {h!r}")
+        below, low = points, users[offset][0][2]
+        column = [f(x) for x in points]
         # an inf or nan sample always makes the column's sum nonfinite
         bad = [] if math.isfinite(sum(column)) else [
-            (x0 + offset * h, v) for h, v in zip(spacings, column) if not math.isfinite(v)]
+            (x, v) for x, v in zip(points, column) if not math.isfinite(v)]
         for k, weight, exact in users[offset]:
             for x, value in bad:
                 # level 3 is the caller of apply_stencil or convergence_studies
@@ -163,10 +173,12 @@ def convergence_studies(
     ``h_list`` must be finite, positive and strictly decreasing with at least
     three entries, so pairwise orders and the floor heuristic are meaningful,
     and ``x0`` and ``df_true`` finite; all are checked before any sample is
-    taken.  The call samples each distinct node offset of the batch once per
-    spacing; the iterator it returns builds each report only when asked, so a
-    caller that writes and drops each one holds one at a time.  The reports
-    share one ``spacings`` tuple, and a repeated pair gives a repeated report.
+    taken.  Distinct offsets must sample distinct float points at every
+    spacing, or the call raises before sampling the higher of two that meet.
+    It samples each distinct node offset of the batch once per spacing; the
+    iterator it returns builds each report only when asked, so a caller that
+    writes and drops each one holds one at a time.  The reports share one
+    ``spacings`` tuple, and a repeated pair gives a repeated report.
     """
     spacings = tuple(float(h) for h in h_list)
     if len(spacings) < 3:

@@ -620,6 +620,23 @@ class TestStudy:
         assert code == 0
         assert len((tmp_path / "C4.csv").read_text().splitlines()) == 1 + 1994
 
+    @pytest.mark.parametrize(
+        "ids, function, x0, offsets",
+        [("C4,B2", "sin100pi", "1e300", "-2 and -3/2"), ("C4", "poly:x^2", "1e100", "-3/2 and -1/2")],
+    )
+    def test_x0_whose_nodes_round_to_one_point_exits_2_before_any_directory(
+        self, tmp_path, ids, function, x0, offsets
+    ):
+        # x0 + o*h rounds to x0 for every node: the samples could not tell the nodes apart
+        csv_dir = tmp_path / "csv"
+        proc = run_process("study", ids, function, x0, "--csv-dir", str(csv_dir))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"fdcorr: error: offsets {offsets} both sample x = {float(x0)!r} "
+            f"at x0 = {float(x0)!r} and spacing h = 0.01"
+        ]
+        assert not csv_dir.exists()
+
     def test_overflowing_polynomial_exits_2_without_traceback(self, tmp_path):
         proc = run_process("study", "C4", "poly:x^2", "0",
                            "--csv-dir", str(tmp_path), "--h-max", "1e300", "--h-min", "1e-300")

@@ -513,6 +513,15 @@ class TestConvergenceStudies:
             assert report.abs_errors[0] == math.inf
             assert all(map(math.isfinite, report.abs_errors[1:]))
 
+    def test_offsets_that_sample_one_point_raise(self):
+        # at x0 = 1 a spacing of 1e-16 moves C4's inner nodes by under half an ulp
+        with pytest.raises(numdiff._StudyInputError, match=(
+            r"^offsets -1/2 and 1/2 both sample x = 1\.0 at x0 = 1\.0 and spacing h = 1e-16$"
+        )):
+            convergence_studies([("C4", C4)], math.sin, math.cos(1.0), 1.0, [1e-3, 1e-8, 1e-16])
+        with pytest.raises(numdiff._StudyInputError, match=r"^offsets -3/2 and -1/2 both sample"):
+            apply_stencil(C4, math.sin, 1e300, 0.01)
+
     def test_repeated_ids_keep_their_order_and_count(self):
         f = math.sin
         named = [("C4", C4), ("central", CENTRAL), ("C4", C4), ("C4", C4)]

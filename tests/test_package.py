@@ -36,13 +36,13 @@ def _fresh(code: str, *args: str) -> str:
     return proc.stdout
 
 
-def _loaded_by(module: str) -> set[str]:
-    """Every module loaded by ``import <module>`` in a fresh interpreter."""
-    return set(_fresh(f"import sys, {module}; print(*sys.modules)").split())
+def _loaded_by(statement: str) -> set[str]:
+    """Every module loaded by the import ``statement`` in a fresh interpreter."""
+    return set(_fresh(f"import sys; {statement}; print(*sys.modules)").split())
 
 
 def test_the_cli_loads_only_the_standard_library():
-    loaded = {name.partition(".")[0] for name in _loaded_by("fdcorr.cli")}
+    loaded = {name.partition(".")[0] for name in _loaded_by("import fdcorr.cli")}
     assert "fdcorr" in loaded
     assert sorted(loaded - {"fdcorr", "__main__"} - sys.stdlib_module_names) == []
 
@@ -54,12 +54,17 @@ _COLD = {"dataclasses", "inspect", "typing", "pathlib", "json", "fdcorr.numdiff"
 
 
 @pytest.mark.parametrize(
-    "module, absent",
-    [("fdcorr", _COLD | {"argparse"}), ("fdcorr.cli", _COLD)],
-    ids=["fdcorr", "fdcorr.cli"],
+    "statement, absent",
+    [
+        ("import fdcorr", _COLD | {"argparse"}),
+        ("import fdcorr.cli", _COLD),
+        # the import system first asks the package for ``cli``
+        ("from fdcorr import cli", _COLD),
+    ],
+    ids=["fdcorr", "fdcorr.cli", "from fdcorr import cli"],
 )
-def test_the_import_loads_nothing_its_commands_do_not_run(module, absent):
-    assert sorted(_loaded_by(module) & absent) == []
+def test_the_import_loads_nothing_its_commands_do_not_run(statement, absent):
+    assert sorted(_loaded_by(statement) & absent) == []
 
 
 # The package's names before ``numdiff`` loaded on first use; the star-import binds them all.
