@@ -29,7 +29,7 @@ def __getattr__(name: str) -> object:
     # here, so the next read is a plain attribute.  numdiff exports no
     # underscore name, so those never load it, nor does ``cli``, which
     # ``from fdcorr import cli`` probes for before importing it.
-    if name.startswith("_") and name != "__all__" or name == "cli":
+    if (name.startswith("_") and name != "__all__") or name == "cli":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     import importlib
 

@@ -268,7 +268,7 @@ def _resolve_function(name: str, sines: dict[str, float]) -> tuple[Callable, Cal
 
 
 def _study_input(function, sines, x0, h_max, h_min, factor) -> tuple[Callable, float, list]:
-    """``(u, u'(x0), spacings)`` of a ``fdcorr study`` request; bad input raises first."""
+    """``(u, u'(x0), spacings)`` of a ``fdcorr study`` request, or its first bad input raised."""
     u, du = _resolve_function(function, sines)
     for name, value in (("x0", x0), ("--h-max", h_max), ("--h-min", h_min), ("--h-factor", factor)):
         _finite(name, value)
