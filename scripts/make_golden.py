@@ -3,7 +3,11 @@
 
 Each entry holds a command line (its arguments joined by spaces; none holds
 a space), its exit code, and the SHA-256 of its stdout and of every file it
-writes, by path under the directory it ran in.
+writes, by path under the directory it ran in.  An entry whose command calls
+``math.sin`` or ``math.cos`` also holds, under ``libm``, the SHA-256 of their
+arguments and, apart, of their values: the study CSVs hold ``sin`` values, so
+their digests hold only where the C library rounds ``sin`` and ``cos`` as it
+did where the digests were made, which ``made_on`` names.
 The corpus:
 
 - ``commands``: ``stencil`` for the 22 ids the benchmark's ``deep`` workload
@@ -16,8 +20,7 @@ The corpus:
   CI's widest-formulas step compares.
 
 A digest may change only in the change whose output moves it, with the
-reason stated.  The study CSVs hold ``sin`` values, so a platform whose
-``sin`` rounds differently writes other bytes.
+reason stated.
 
 Usage:
     python scripts/make_golden.py
@@ -29,7 +32,9 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -46,11 +51,34 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+@contextlib.contextmanager
+def recording_libm(arguments: list[str], values: list[str]):
+    """Append the repr of each ``math.sin`` and ``math.cos`` call's argument and value."""
+    originals = math.sin, math.cos
+
+    def recorded(name, f):
+        def call(x):
+            value = f(x)
+            arguments.append(f"{name} {x!r}\n")
+            values.append(f"{value!r}\n")
+            return value
+
+        return call
+
+    math.sin, math.cos = recorded("sin", math.sin), recorded("cos", math.cos)
+    try:
+        yield
+    finally:
+        math.sin, math.cos = originals
+
+
 def run(command: str) -> dict:
     """``command``'s golden entry, from running it through ``fdcorr.cli.main`` in a fresh directory."""
     out = io.StringIO()
     cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
+    arguments: list[str] = []
+    values: list[str] = []
+    with tempfile.TemporaryDirectory() as tmp, recording_libm(arguments, values):
         os.chdir(tmp)
         try:
             with contextlib.redirect_stdout(out):
@@ -63,7 +91,12 @@ def run(command: str) -> dict:
             path.relative_to(tmp).as_posix(): sha256(path.read_bytes())
             for path in sorted(Path(tmp).rglob("*")) if path.is_file()
         }
-    return {"command": command, "exit": code, "stdout": sha256(out.getvalue().encode()), "files": files}
+    entry = {"command": command, "exit": code, "stdout": sha256(out.getvalue().encode()),
+             "files": files}
+    if arguments:
+        entry["libm"] = {"arguments": sha256("".join(arguments).encode()),
+                         "values": sha256("".join(values).encode())}
+    return entry
 
 
 def corpus() -> list[str]:
@@ -88,6 +121,8 @@ def corpus() -> list[str]:
 
 def main() -> None:
     golden = {
+        "made_on": f"Python {platform.python_version()}, {' '.join(platform.libc_ver())}, "
+                   f"{platform.machine()}",
         "commands": [run(command) for command in corpus()],
         "widest": [run(f"stencil {formula_id}") for formula_id in WIDEST],
     }

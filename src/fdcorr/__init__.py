@@ -15,6 +15,8 @@ on first use (PEP 562): reading ``fdcorr.numdiff``, one of its names,
 the same names as an eager import would.
 """
 
+from math import pi as _pi
+
 from .exactmath import *
 from .gridops import *
 from .taylorseries import *
@@ -22,6 +24,10 @@ from .defcor import *
 from .stencil import *
 
 __version__ = "0.1.0"
+
+# ``fdcorr study``'s sine functions ``sin(omega x)``, by name, for :mod:`fdcorr.numdiff`,
+# which samples them, and for the ``study`` help, which must not load ``numdiff``.
+_SINES = {"sin100pi": 100.0 * _pi, "sin1000pi": 1000.0 * _pi}
 
 
 def __getattr__(name: str) -> object:

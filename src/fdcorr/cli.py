@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import re
 import sys
 from collections.abc import Sequence
 
+from . import _SINES
 from .defcor import FAMILIES, CorrectionFormula, Family, catalog, family_named
 from .exactmath import Rational, format_rational
 from .stencil import FlattenError, Stencil, flatten, oracle_weights, verify
@@ -30,8 +30,6 @@ __all__ = ["main", "console_main", "parse_formula_id", "formula_from_id"]
 
 # Highest accuracy order any command builds (order 200 takes seconds).
 MAX_ORDER = 200
-# The sine study functions, ``sin(omega x)``, by name.
-_SINES = {"sin100pi": 100.0 * math.pi, "sin1000pi": 1000.0 * math.pi}
 
 
 class FormulaIdError(ValueError):
@@ -189,20 +187,23 @@ def cmd_study(args: argparse.Namespace) -> int:
         if first is not None:
             raise FormulaIdError(f"formula id {formula_id!r} names the same formula as {first!r}")
         firsts[key] = formula_id
-    groups: dict[tuple, tuple[Stencil, list[str]]] = {}
     try:
-        u, df_true, grid = numdiff._study_input(args.function, _SINES, args.x0, args.h_max,
+        u, df_true, grid = numdiff._study_input(args.function, args.x0, args.h_max,
                                                 args.h_min, args.h_factor)
-        # Every id builds before any sample is taken or any CSV written.  Ids whose
-        # stencils are equal (FC<p> and BC<p>, C<n> and IC<n>) share one report:
-        # the first id of each group stands for all of them.
-        for formula_id in ids:
-            s = flatten(formula_from_id(formula_id))
-            groups.setdefault((s.m, s.offsets, s.weights), (s, []))[1].append(formula_id)
-        # This call takes every sample, so a sample that fails leaves no directory.
-        named = [(group[0], s) for s, group in groups.values()]
+    except ValueError as exc:
+        raise FormulaIdError(str(exc)) from exc
+    # Every id builds before any sample is taken or any CSV written.  Ids whose
+    # stencils are equal (FC<p> and BC<p>, C<n> and IC<n>) share one report:
+    # the first id of each group stands for all of them.
+    groups: dict[tuple, tuple[Stencil, list[str]]] = {}
+    for formula_id in ids:
+        s = flatten(formula_from_id(formula_id))
+        groups.setdefault((s.m, s.offsets, s.weights), (s, []))[1].append(formula_id)
+    # This call takes every sample, so a sample that fails leaves no directory.
+    named = [(group[0], s) for s, group in groups.values()]
+    try:
         reports = numdiff.convergence_studies(named, u, df_true, args.x0, grid)
-    except numdiff._StudyInputError as exc:
+    except ValueError as exc:  # two nodes sample one point, or a sample overflows
         raise FormulaIdError(str(exc)) from exc
     csv_dir = Path(args.csv_dir)
     lines: dict[str, str] = {}

@@ -12,11 +12,15 @@ stencils on one grid.  Either way each total starts at ``0.0`` and adds the
 same products in ascending-offset order, and a sample is the same float
 whichever stencil uses it, so results are bit-identical to summing each
 stencil alone over its nodes converted to float.  Without compensated
-summation the roundoff plateau at small spacing stays visible.
+summation the roundoff plateau at small spacing stays visible, up to where
+:func:`convergence_studies` refuses a spacing at which two nodes sample one
+point.
 
 The rules of ``fdcorr study`` live here too: its sample functions, checked
 to stay finite, its spacing grid and the text it writes.  Bad input raises
-``_StudyInputError``, a ``ValueError``.  The module opens no file.
+``ValueError``.  Every sum that reaches the text adds left to right, as
+``sum`` did before Python 3.12 compensated float sums, so the text is the
+same on every version.  The module opens no file.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 
+from . import _SINES
 from .exactmath import Rational, node_sum
 from .stencil import Stencil
 
@@ -42,10 +47,6 @@ __all__ = [
 _MAX_SPACINGS = 100_000
 
 
-class _StudyInputError(ValueError):
-    """Input the float layer cannot evaluate; ``fdcorr study`` exits 2 with its message."""
-
-
 def apply_stencil(s: Stencil, f: Callable, x0: float | Rational, h: float | Rational):
     """Evaluate ``h**-m * sum_j w_j f(x0 + o_j h)``.
 
@@ -53,13 +54,12 @@ def apply_stencil(s: Stencil, f: Callable, x0: float | Rational, h: float | Rati
     and weights converted to float, once per call, and the result is a
     float; nonfinite samples propagate into it, and a warning names the
     node's exact offset so the source is diagnosable; a nonfinite ``x0`` or
-    ``h`` raises before any sample, and two nodes that round to one float
-    point raise before the second is sampled.  If both are ints or
-    rationals, the shared node sum ``exactmath.node_sum`` runs in exact
-    steps, and the result is exact for an exact ``f``.
+    ``h`` raises before any sample.  If both are ints or rationals, the
+    shared node sum ``exactmath.node_sum`` runs in exact steps, and the
+    result is exact for an exact ``f``.
     """
     if h <= 0:
-        raise _StudyInputError("spacing h must be positive")
+        raise ValueError("spacing h must be positive")
     if not (isinstance(x0, float) or isinstance(h, float)):
         x, step = Fraction(x0), Fraction(h)
         return node_sum(s.nodes(), lambda offset: f(x + offset * step), step, s.m)
@@ -69,12 +69,16 @@ def apply_stencil(s: Stencil, f: Callable, x0: float | Rational, h: float | Rati
 
 def _finite(name: str, value) -> float:
     if not math.isfinite(value := float(value)):
-        raise _StudyInputError(f"{name} must be finite, got {value!r}")
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
 
-def _column_sums(stencils, f: Callable, x0: float, spacings) -> list[list[float]]:
-    """``sum_j w_j f(x0 + o_j h)`` of each stencil at each spacing, in floats."""
+def _column_sums(stencils, f: Callable, x0: float, spacings, distinct=False) -> list[list[float]]:
+    """``sum_j w_j f(x0 + o_j h)`` of each stencil at each spacing, in floats.
+
+    With ``distinct``, two offsets that sample one point raise before the
+    higher is sampled.
+    """
     users: dict[float, list[tuple[int, float, Rational]]] = {}
     for k, s in enumerate(stencils):
         for exact, weight in s.nodes():
@@ -84,10 +88,10 @@ def _column_sums(stencils, f: Callable, x0: float, spacings) -> list[list[float]
     for offset in sorted(users):
         points = [x0 + offset * h for h in spacings]
         # rounding is monotone, so two offsets that sample one point are neighbours
-        if not all(map(operator.lt, below, points)):
+        if distinct and not all(map(operator.lt, below, points)):
             h, x = next((h, x) for h, a, x in zip(spacings, below, points) if not a < x)
-            raise _StudyInputError(f"offsets {low} and {users[offset][0][2]} both sample x = "
-                                   f"{x!r} at x0 = {x0!r} and spacing h = {h!r}")
+            raise ValueError(f"offsets {low} and {users[offset][0][2]} both sample x = "
+                             f"{x!r} at x0 = {x0!r} and spacing h = {h!r}")
         below, low = points, users[offset][0][2]
         column = [f(x) for x in points]
         # an inf or nan sample always makes the column's sum nonfinite
@@ -151,10 +155,10 @@ class ConvergenceReport(namedtuple(
             return math.nan
         xs = [math.log(self.spacings[i]) for i in window]
         ys = [math.log(self.abs_errors[i]) for i in window]
-        x_mean = sum(xs) / len(xs)
-        y_mean = sum(ys) / len(ys)
-        sxx = sum((x - x_mean) ** 2 for x in xs)
-        sxy = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+        x_mean = _total(xs) / len(xs)
+        y_mean = _total(ys) / len(ys)
+        sxx = _total((x - x_mean) ** 2 for x in xs)
+        sxy = _total((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
         return sxy / sxx
 
     def min_error(self) -> float:
@@ -182,16 +186,16 @@ def convergence_studies(
     """
     spacings = tuple(float(h) for h in h_list)
     if len(spacings) < 3:
-        raise _StudyInputError("need at least three spacings")
+        raise ValueError("need at least three spacings")
     if any(b >= a for a, b in zip(spacings, spacings[1:])):
-        raise _StudyInputError("spacings must be strictly decreasing")
+        raise ValueError("spacings must be strictly decreasing")
     if any(h <= 0 for h in spacings):
-        raise _StudyInputError("spacing h must be positive")
+        raise ValueError("spacing h must be positive")
     for h in spacings:
         _finite("spacing h", h)
     _finite("df_true", df_true)
     named = list(named)
-    totals = _column_sums([s for _, s in named], f, _finite("x0", x0), spacings)
+    totals = _column_sums([s for _, s in named], f, _finite("x0", x0), spacings, distinct=True)
     log_steps = [math.log(a / b) for a, b in zip(spacings, spacings[1:])]
     return (
         _report(formula_id, s.m, total, df_true, spacings, log_steps)
@@ -214,18 +218,26 @@ def _report(formula_id, m, total, df_true, spacings, log_steps) -> ConvergenceRe
     return ConvergenceReport(formula_id, spacings, errors, orders, floor)
 
 
+def _total(values: Iterable[float]) -> float:
+    """``sum(values)`` of floats, added left to right on every Python version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _parse_polynomial(text: str) -> dict[int, float]:
     """Parse ``x^3``, ``2x^4-3x+1`` style bodies into {degree: coefficient}."""
     body = text.replace(" ", "").replace("**", "^").replace("*", "")
     if not body:
-        raise _StudyInputError("empty polynomial")
+        raise ValueError("empty polynomial")
     # Split before each sign but a leading one: a stray sign is a term that fails.
     terms = re.split(r"(?<=.)(?=[+-])", body)
     poly: dict[int, float] = {}
     for term in terms:
         match = re.fullmatch(r"([+-]?)(\d+(?:\.\d+)?|\d+/\d+)?(x(?:\^(\d+))?)?", term)
         if not match or (match.group(2) is None and match.group(3) is None):
-            raise _StudyInputError(f"cannot parse polynomial term {term!r}")
+            raise ValueError(f"cannot parse polynomial term {term!r}")
         sign, coeff_text, power, degree_text = match.groups()
         try:
             coeff = float(Fraction(coeff_text)) if coeff_text else 1.0
@@ -233,13 +245,13 @@ def _parse_polynomial(text: str) -> dict[int, float]:
             float(degree)  # the derivative's coefficient is ``coeff * degree``
         except (ZeroDivisionError, OverflowError, ValueError):
             # a zero denominator, a number past float range or past int's digit limit
-            raise _StudyInputError(f"cannot parse polynomial term {term!r}") from None
+            raise ValueError(f"cannot parse polynomial term {term!r}") from None
         poly[degree] = poly.get(degree, 0.0) + (-coeff if sign == "-" else coeff)
     return poly
 
 
 def _checked(name: str, f: Callable[[float], float]) -> Callable[[float], float]:
-    """``f``, raising ``_StudyInputError`` wherever it overflows a float."""
+    """``f``, raising ``ValueError`` wherever it overflows a float."""
 
     def evaluate(x: float) -> float:
         try:
@@ -247,39 +259,49 @@ def _checked(name: str, f: Callable[[float], float]) -> Callable[[float], float]
                 return value
         except (OverflowError, ValueError):  # ``x**d`` past float range, ``sin(inf)``
             pass
-        raise _StudyInputError(f"function {name!r} overflows at x = {x!r}")
+        raise ValueError(f"function {name!r} overflows at x = {x!r}")
 
     return evaluate
 
 
-def _resolve_function(name: str, sines: dict[str, float]) -> tuple[Callable, Callable]:
-    """(u, u') for a study function id, each through :func:`_checked`; ``sines`` maps to omega."""
+def _polynomial(terms: list[tuple[int, float]]) -> Callable[[float], float]:
+    """``x -> sum c * x**d`` over ``(d, c)`` in ``terms``, added in their order."""
+
+    def evaluate(x: float) -> float:
+        total = 0.0
+        for d, c in terms:
+            total += c * x**d
+        return total
+
+    return evaluate
+
+
+def _resolve_function(name: str) -> tuple[Callable, Callable]:
+    """(u, u') for a study function id, each through :func:`_checked`."""
     if name.startswith("poly:"):
         terms = sorted(_parse_polynomial(name[len("poly:") :]).items())
-        slopes = [(d - 1, c * d) for d, c in terms if d]
-        pair = (lambda x: sum([c * x**d for d, c in terms]),
-                lambda x: sum([c * x**d for d, c in slopes]))
-    elif (omega := sines.get(name)) is not None:
+        pair = (_polynomial(terms), _polynomial([(d - 1, c * d) for d, c in terms if d]))
+    elif (omega := _SINES.get(name)) is not None:
         pair = (lambda x: math.sin(omega * x), lambda x: omega * math.cos(omega * x))
     else:
-        expected = ", ".join(sines)
-        raise _StudyInputError(f"unknown function id {name!r} (expected {expected}, or poly:...)")
+        expected = ", ".join(_SINES)
+        raise ValueError(f"unknown function id {name!r} (expected {expected}, or poly:...)")
     return _checked(name, pair[0]), _checked(name, pair[1])
 
 
-def _study_input(function, sines, x0, h_max, h_min, factor) -> tuple[Callable, float, list]:
+def _study_input(function, x0, h_max, h_min, factor) -> tuple[Callable, float, list]:
     """``(u, u'(x0), spacings)`` of a ``fdcorr study`` request, or its first bad input raised."""
-    u, du = _resolve_function(function, sines)
+    u, du = _resolve_function(function)
     for name, value in (("x0", x0), ("--h-max", h_max), ("--h-min", h_min), ("--h-factor", factor)):
         _finite(name, value)
     if h_max <= 0 or h_min <= 0 or h_max < h_min:
-        raise _StudyInputError("need 0 < h-min <= h-max")
+        raise ValueError("need 0 < h-min <= h-max")
     if factor <= 1.0:
-        raise _StudyInputError("h-factor must exceed 1")
+        raise ValueError("h-factor must exceed 1")
     # Size the grid before building it: a factor just above 1 or a huge
     # h-max/h-min ratio would otherwise allocate millions of spacings.
     if (math.log(h_max) - math.log(h_min)) / math.log(factor) >= _MAX_SPACINGS:
-        raise _StudyInputError(
+        raise ValueError(
             f"spacing grid from {h_max} to {h_min} by factor {factor} "
             f"has more than {_MAX_SPACINGS} spacings"
         )
@@ -287,9 +309,9 @@ def _study_input(function, sines, x0, h_max, h_min, factor) -> tuple[Callable, f
     while h >= h_min * (1.0 - 1e-12):
         grid.append(h)
         if (h := h / factor) == grid[-1]:  # among subnormals h / factor can round to h
-            raise _StudyInputError(f"spacing grid stops shrinking at {h}: h / {factor} rounds to h")
+            raise ValueError(f"spacing grid stops shrinking at {h}: h / {factor} rounds to h")
     if len(grid) < 3:
-        raise _StudyInputError("spacing grid has fewer than 3 points")
+        raise ValueError("spacing grid has fewer than 3 points")
     return u, du(x0), grid
 
 

@@ -16,7 +16,6 @@ import fdcorr
 from fdcorr.cli import (
     MAX_ORDER,
     FormulaIdError,
-    _SINES,
     _json_dumps,
     formula_from_id,
     main,
@@ -411,7 +410,7 @@ class TestStudy:
         code, _, _ = run(capsys, "study", "B6,IC6", "sin100pi", str(x0), "--csv-dir",
                          str(tmp_path), "--h-max", "1e-3", "--h-min", "2.5e-4")
         assert code == 0
-        u, du = _resolve_function("sin100pi", _SINES)
+        u, du = _resolve_function("sin100pi")
         named = [(fid, flatten(formula_from_id(fid))) for fid in ("B6", "IC6")]
         for report in convergence_studies(named, u, du(x0), x0, grid):
             errors, orders = report.abs_errors, report.observed_orders
