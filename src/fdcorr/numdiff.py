@@ -12,9 +12,8 @@ stencils on one grid.  Either way each total starts at ``0.0`` and adds the
 same products in ascending-offset order, and a sample is the same float
 whichever stencil uses it, so results are bit-identical to summing each
 stencil alone over its nodes converted to float.  Without compensated
-summation the roundoff plateau at small spacing stays visible, up to where
-:func:`convergence_studies` refuses a spacing at which two nodes sample one
-point.
+summation the roundoff plateau at small spacing stays visible; a spacing too
+small for rounding to keep every node's point apart is refused unsampled.
 
 The rules of ``fdcorr study`` live here too: its sample functions, checked
 to stay finite, its spacing grid and the text it writes.  Bad input raises
@@ -26,7 +25,6 @@ same on every version.  The module opens no file.
 from __future__ import annotations
 
 import math
-import operator
 import re
 import warnings
 from collections import namedtuple
@@ -73,38 +71,39 @@ def _finite(name: str, value) -> float:
     return value
 
 
-def _column_sums(stencils, f: Callable, x0: float, spacings, distinct=False) -> list[list[float]]:
-    """``sum_j w_j f(x0 + o_j h)`` of each stencil at each spacing, in floats.
-
-    With ``distinct``, two offsets that sample one point raise before the
-    higher is sampled.
-    """
+def _column_sums(stencils, f: Callable, x0: float, spacings) -> list[list[float]]:
+    """``sum_j w_j f(x0 + o_j h)`` of each stencil at each spacing, in floats."""
     users: dict[float, list[tuple[int, float, Rational]]] = {}
     for k, s in enumerate(stencils):
         for exact, weight in s.nodes():
             users.setdefault(float(exact), []).append((k, float(weight), exact))
     totals = [[0.0] * len(spacings) for _ in stencils]
-    below, low = [], None  # the points and exact offset of the offset below
     for offset in sorted(users):
-        points = [x0 + offset * h for h in spacings]
-        # rounding is monotone, so two offsets that sample one point are neighbours
-        if distinct and not all(map(operator.lt, below, points)):
-            h, x = next((h, x) for h, a, x in zip(spacings, below, points) if not a < x)
-            raise ValueError(f"offsets {low} and {users[offset][0][2]} both sample x = "
-                             f"{x!r} at x0 = {x0!r} and spacing h = {h!r}")
-        below, low = points, users[offset][0][2]
-        column = [f(x) for x in points]
+        column = [f(x0 + offset * h) for h in spacings]
         # an inf or nan sample always makes the column's sum nonfinite
         bad = [] if math.isfinite(sum(column)) else [
-            (x, v) for x, v in zip(points, column) if not math.isfinite(v)]
+            (x0 + offset * h, v) for h, v in zip(spacings, column) if not math.isfinite(v)]
         for k, weight, exact in users[offset]:
             for x, value in bad:
                 # level 3 is the caller of apply_stencil or convergence_studies
                 warnings.warn(f"nonfinite sample {value!r} at x = {x!r} (offset {exact})",
                               RuntimeWarning, stacklevel=3)
             totals[k] = [t + weight * v for t, v in zip(totals[k], column)]
-        del column
     return totals
+
+
+def _require_resolution(offsets: Iterable[Rational], x0: float, h: float) -> None:
+    """Raise unless distinct ``offsets`` sample distinct points at every spacing from ``h`` up."""
+    offsets, floor = sorted(set(offsets)), 2**-53 * 2.01 * abs(x0) + 2**-1073
+    for a, b in zip(offsets, offsets[1:]):
+        # x0 + float(o)*h is within u|x0| + 3u|o|h + 2*2**-1075 of x0 + o*h, u = 2**-53: the
+        # offset's, product's and sum's rounding (Higham, Accuracy and Stability of Numerical
+        # Algorithms, 2nd ed., 2.2).  A gap (b - a)h past both bounds keeps a < b apart and
+        # outgrows them as h grows; 2.01 and 3.01 cover this test's own rounding, and
+        # scaling by u first keeps the bound finite, leaving overflow to the samples.
+        if not float(b - a) * h > floor + 2**-53 * 3.01 * float(abs(a) + abs(b)) * h:
+            raise ValueError(f"offsets {a} and {b} may round to one point "
+                             f"at x0 = {x0!r} and spacing h = {h!r}")
 
 
 class ConvergenceReport(namedtuple(
@@ -176,13 +175,12 @@ def convergence_studies(
 
     ``h_list`` must be finite, positive and strictly decreasing with at least
     three entries, so pairwise orders and the floor heuristic are meaningful,
-    and ``x0`` and ``df_true`` finite; all are checked before any sample is
-    taken.  Distinct offsets must sample distinct float points at every
-    spacing, or the call raises before sampling the higher of two that meet.
-    It samples each distinct node offset of the batch once per spacing; the
-    iterator it returns builds each report only when asked, so a caller that
-    writes and drops each one holds one at a time.  The reports share one
-    ``spacings`` tuple, and a repeated pair gives a repeated report.
+    and ``x0`` and ``df_true`` finite.  Two neighbouring offsets whose points
+    a rounding bound cannot keep apart at every spacing fail too, and the call
+    raises before any sample.  It samples each distinct node offset once per
+    spacing; the iterator it returns builds each report only when asked, so a
+    caller that writes and drops each one holds one at a time.  The reports
+    share one ``spacings`` tuple, and a repeated pair gives a repeated report.
     """
     spacings = tuple(float(h) for h in h_list)
     if len(spacings) < 3:
@@ -194,8 +192,9 @@ def convergence_studies(
     for h in spacings:
         _finite("spacing h", h)
     _finite("df_true", df_true)
-    named = list(named)
-    totals = _column_sums([s for _, s in named], f, _finite("x0", x0), spacings, distinct=True)
+    named, x0 = list(named), _finite("x0", x0)
+    _require_resolution((o for _, s in named for o in s.offsets), x0, spacings[-1])
+    totals = _column_sums([s for _, s in named], f, x0, spacings)
     log_steps = [math.log(a / b) for a, b in zip(spacings, spacings[1:])]
     return (
         _report(formula_id, s.m, total, df_true, spacings, log_steps)

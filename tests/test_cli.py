@@ -631,10 +631,33 @@ class TestStudy:
         proc = run_process("study", ids, function, x0, "--csv-dir", str(csv_dir))
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [
-            f"fdcorr: error: offsets {offsets} both sample x = {float(x0)!r} "
-            f"at x0 = {float(x0)!r} and spacing h = 0.01"
+            f"fdcorr: error: offsets {offsets} may round to one point "
+            f"at x0 = {float(x0)!r} and spacing h = 6.103515625e-07"
         ]
         assert not csv_dir.exists()
+
+    def test_spacing_just_above_where_nodes_meet_exits_2(self, capsys, tmp_path):
+        # at x0 = 1, C4's points meet up to h of about 1.1e-16; the rounding bound
+        # refuses up to 2.2e-16, where rounding moves the nodes by half their spacing
+        csv_dir = tmp_path / "csv"
+        proc = run_process("study", "C4", "sin100pi", "1", "--csv-dir", str(csv_dir),
+                           "--h-max", "8e-16", "--h-min", "2e-16")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "fdcorr: error: offsets -3/2 and -1/2 may round to one point at x0 = 1.0 "
+            "and spacing h = 2e-16"
+        ]
+        assert not csv_dir.exists()
+        code, _, _ = run(capsys, "study", "C4", "sin100pi", "1", "--csv-dir", str(csv_dir),
+                         "--h-max", "1.6e-15", "--h-min", "4e-16")
+        assert code == 0
+
+    def test_points_past_float_range_exit_2_as_an_overflow(self, tmp_path):
+        # the rounding bound stays finite at x0 = 1e308: the sample at inf reports it
+        proc = run_process("study", "C4", "poly:x", "1e308", "--csv-dir", str(tmp_path / "csv"),
+                           "--h-max", "1e308", "--h-min", "2.5e307")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["fdcorr: error: function 'poly:x' overflows at x = inf"]
 
     def test_overflowing_polynomial_exits_2_without_traceback(self, tmp_path):
         proc = run_process("study", "C4", "poly:x^2", "0",

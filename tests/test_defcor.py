@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import example, given, settings
@@ -113,29 +114,67 @@ def _backward_centered(i):
     return _forward_centered(i) if i == 2 else -_forward_centered(i)
 
 
+def _by_index(indices, coefficient, error_constant):
+    """A closed form whose coefficient at each index is the same at every p."""
+    return lambda p: ({i: coefficient(i) for i in indices(p)}, error_constant(p))
+
+
+def _sinh_recurrence(s, below, poly):
+    """``R_s`` as coefficients in y, where ``R_(n+2) = 2(1 + 2y^2) R_n - R_(n-2)``.
+
+    ``below`` and ``poly`` are ``R_-1`` and ``R_1``: with ``-y`` and ``y`` it
+    gives ``P_s(sinh t) = sinh(st)``, with ``1`` and ``1`` it gives
+    ``Q_s(sinh t) = cosh(st) / cosh t``, since ``sinh((n+2)t) + sinh((n-2)t) =
+    2 sinh(nt) cosh(2t)`` and ``cosh(2t) = 1 + 2 sinh(t)^2`` (cosh alike).
+    """
+    for _ in range(s // 2):
+        below, poly = poly, [2 * a + 4 * b - c for a, b, c in
+                             zip_longest(poly, [0, 0] + poly, below, fillvalue=0)]
+    return poly
+
+
+# With s = 2p + 1 and delta = 2 sinh(t/2), IC's seeds are delta_s = 2 P_s(delta/2)
+# and mu_s = mu Q_s(delta/2), and -_centered(i) is the delta^i coefficient of
+# 2 arcsinh(delta/2) = hD for odd i and of (1 + delta^2/4)^(-1/2) for even i.
+def _interior_centered(p):
+    # [delta^d](2 P_s(delta/2) - s 2 arcsinh(delta/2)); the error constant is C's
+    s = 2 * p + 1
+    seed = _sinh_recurrence(s, [0, -1], [0, 1])
+    coefficients = {d: frac(2 * seed[d], 2**d) + s * _centered(d) for d in range(3, s + 1, 2)}
+    return coefficients, _centered(s + 2)
+
+
+def _interior_centered_value(p):
+    # [delta^2i](Q_s(delta/2) - (1 + delta^2/4)^(-1/2)); Q_s has degree 2p, so
+    # the error constant at i = p + 1 is CA's
+    seed = _sinh_recurrence(2 * p + 1, [1], [1])
+    coefficients = {2 * i: frac(seed[2 * i], 4**i) + _centered(2 * i) for i in range(1, p + 1)}
+    return coefficients, _centered(2 * p + 2)
+
+
 # Exact closed forms, independent of the engine: for each family, its
-# coefficient indices at parameter p, the coefficient c_i, and the error
-# constant at p.
+# coefficients and error constant at parameter p.
 CLOSED_FORMS = {
-    "standard-forward": (lambda p: range(2, p + 1), lambda i: frac((-1) ** i, i),
-                         lambda p: frac((-1) ** (p + 1), p + 1)),
-    "standard-backward": (lambda p: range(2, p + 1), lambda i: frac(1, i),
-                          lambda p: frac(-1, p + 1)),
-    "centered": (lambda p: range(3, 2 * p + 2, 2), _centered,
-                 lambda p: _centered(2 * p + 3)),
-    "centered-average": (lambda p: range(2, 2 * p + 1, 2), _centered,
-                         lambda p: _centered(2 * p + 2)),
-    "forward-centered": (lambda p: range(2, p + 1), _forward_centered,
-                         lambda p: _forward_centered(p + 1)),
-    "backward-centered": (lambda p: range(2, p + 1), _backward_centered,
-                          lambda p: _forward_centered(p + 1)),
+    "standard-forward": _by_index(lambda p: range(2, p + 1), lambda i: frac((-1) ** i, i),
+                                  lambda p: frac((-1) ** (p + 1), p + 1)),
+    "standard-backward": _by_index(lambda p: range(2, p + 1), lambda i: frac(1, i),
+                                   lambda p: frac(-1, p + 1)),
+    "centered": _by_index(lambda p: range(3, 2 * p + 2, 2), _centered,
+                          lambda p: _centered(2 * p + 3)),
+    "centered-average": _by_index(lambda p: range(2, 2 * p + 1, 2), _centered,
+                                  lambda p: _centered(2 * p + 2)),
+    "forward-centered": _by_index(lambda p: range(2, p + 1), _forward_centered,
+                                  lambda p: _forward_centered(p + 1)),
+    "backward-centered": _by_index(lambda p: range(2, p + 1), _backward_centered,
+                                   lambda p: _forward_centered(p + 1)),
+    "interior-centered": _interior_centered,
+    "interior-centered-value": _interior_centered_value,
 }
 
 
 def closed_form(name, p):
     """``(family_coefficients, error_constant)`` of family ``name`` at ``p``."""
-    indices, coefficient, error_constant = CLOSED_FORMS[name]
-    return {i: coefficient(i) for i in indices(p)}, error_constant(p)
+    return CLOSED_FORMS[name](p)
 
 
 @pytest.mark.parametrize("name", CLOSED_FORMS)

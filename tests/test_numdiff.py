@@ -1,13 +1,16 @@
 """Float evaluation, exact evaluation, and convergence-study mechanics."""
 
 import math
+import random
 import struct
+import sys
 import warnings
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 from fdcorr import (
@@ -514,16 +517,25 @@ class TestConvergenceStudies:
             assert all(map(math.isfinite, report.abs_errors[1:]))
 
     def test_offsets_that_sample_one_point_raise(self):
-        # at x0 = 1 a spacing of 1e-16 moves C4's inner nodes by under half an ulp
+        # at x0 = 1 a gap of 1e-16 is below the rounding of x0 + o*h alone, about 2.2e-16
         with pytest.raises(ValueError, match=(
-            r"^offsets -1/2 and 1/2 both sample x = 1\.0 at x0 = 1\.0 and spacing h = 1e-16$"
+            r"^offsets -3/2 and -1/2 may round to one point at x0 = 1\.0 and spacing h = 1e-16$"
         )):
             convergence_studies([("C4", C4)], math.sin, math.cos(1.0), 1.0, [1e-3, 1e-8, 1e-16])
-        with pytest.raises(ValueError, match=r"^offsets -3/2 and -1/2 both sample"):
+        with pytest.raises(ValueError, match=(
+            r"^offsets -3/2 and -1/2 may round to one point at x0 = 1e\+300 and spacing h = 0\.01$"
+        )):
             convergence_studies([("C4", C4)], math.sin, 1.0, 1e300, [0.04, 0.02, 0.01])
         # one evaluation is not a study: apply_stencil sums whatever its nodes sample
         assert math.isfinite(apply_stencil(C4, math.sin, 1.0, 1e-16))
         assert math.isfinite(apply_stencil(C4, math.sin, 1e300, 0.01))
+
+    def test_a_refused_study_calls_its_sample_function_zero_times(self):
+        calls = []
+        with pytest.raises(ValueError, match="may round to one point"):
+            convergence_studies([("C4", C4), ("B6", B6)], lambda x: calls.append(x) or 0.0,
+                                1.0, 1.0, [1e-3, 1e-8, 1e-16])
+        assert calls == []
 
     def test_repeated_ids_keep_their_order_and_count(self):
         f = math.sin
@@ -533,6 +545,83 @@ class TestConvergenceStudies:
         assert reports[0] == reports[2] == reports[3]
         alone = convergence_studies([("C4", C4)], f, 1.0, 0.3, [0.1, 0.05, 0.025])
         assert reports[:1] == list(alone)
+
+
+def scan_refuses(offsets, x0, spacings):
+    """The per-spacing scan the rule replaced: do neighbouring float offsets meet at any spacing?"""
+    floats = sorted({float(o) for o in offsets})
+    return any(not x0 + a * h < x0 + b * h for h in spacings for a, b in zip(floats, floats[1:]))
+
+
+def rule_refuses(offsets, x0, h):
+    try:
+        numdiff._require_resolution(offsets, x0, h)
+    except ValueError:
+        return True
+    return False
+
+
+C4_OFFSETS = [Fraction(k, 2) for k in (-3, -1, 1, 3)]
+ADVERSARIAL_X0 = [1 - 2**-53, -(1 - 2**-53), 1e300, -1e300, 5e-324, -5e-324, 0.0]
+
+
+@hs.composite
+def resolution_requests(draw):
+    """Offsets ``k/d``, a point and a grid whose smallest spacing is near where points meet."""
+    offsets = draw(hs.lists(hs.builds(Fraction, hs.integers(-24, 24), hs.sampled_from([1, 2, 3, 7])),
+                            min_size=2, max_size=8, unique=True))
+    x0 = draw(hs.sampled_from(ADVERSARIAL_X0) | hs.floats(-1e300, 1e300))
+    subnormal = hs.floats(5e-324, 2.0**-1022, exclude_max=True)
+    h = draw(subnormal | hs.floats(1e-2, 1e2).map(lambda scale: math.ulp(x0) * scale))
+    factor, count = draw(hs.floats(1.0, 8.0)), draw(hs.integers(1, 12))
+    spacings = [h * factor**j for j in reversed(range(count))]
+    assume(all(math.isfinite(x0 + float(o) * s) for o in offsets for s in spacings))
+    return offsets, x0, spacings
+
+
+class TestResolutionRule:
+    @settings(max_examples=400, deadline=None)
+    @given(request=resolution_requests())
+    def test_the_rule_refuses_whatever_the_scan_refuses(self, request):
+        offsets, x0, spacings = request
+        assert rule_refuses(offsets, x0, spacings[-1]) or not scan_refuses(offsets, x0, spacings)
+
+    @pytest.mark.parametrize(
+        "offsets, x0, spacings",
+        [
+            (C4_OFFSETS, 1 - 2**-53, [4e-16, 2e-16, 1e-16]),
+            (C4_OFFSETS, -(1 - 2**-53), [4e-16, 2e-16, 1e-16]),
+            (C4_OFFSETS, 1e300, [0.04, 0.02, 0.01]),
+            # subnormal spacings; the first meets at 2e-323 but not at 1e-323
+            ([Fraction(-2, 7), Fraction(1, 7), Fraction(2, 7)], 0.0, [2e-323, 1e-323, 5e-324]),
+            ([Fraction(1, 7), Fraction(2, 7), Fraction(1)], 5e-324, [2e-323, 1e-323, 5e-324]),
+            ([Fraction(-1, 3), Fraction(0), Fraction(1, 3)], -5e-324, [1e-322, 1e-323, 5e-324]),
+            ([Fraction(-11, 7), Fraction(-10, 7)], 0.0, [8e-323, 4e-323, 2e-323]),
+            # one float apart: the products' rounding alone makes the points meet
+            ([Fraction(3), 3 + Fraction(1, 2**51)], 0.0, [3.2, 1.6, 0.8]),
+            # offsets that are not floats
+            ([Fraction(-1, 3), Fraction(0), Fraction(1, 3)], 1.0, [1e-15, 3e-16, 1e-16]),
+            ([Fraction(k, 7) for k in (-9, -2, 3, 10)], 1.0, [1e-15, 3e-16, 1e-16]),
+        ],
+    )
+    def test_adversarial_points_the_scan_refuses_are_refused(self, offsets, x0, spacings):
+        assert scan_refuses(offsets, x0, spacings)
+        assert rule_refuses(offsets, x0, spacings[-1])
+
+    def test_no_bench_study_request_is_refused(self):
+        # the rule needs only the offsets, x0 and the grid's smallest spacing: nothing is sampled
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+
+        offsets = {o for fid in workloads.STUDY_IDS for o in flatten(formula_from_id(fid)).offsets}
+        refused = []
+        for seed in range(1, 201):
+            for r in workloads.study_requests(random.Random(seed)):
+                h = numdiff._study_input(r["function"], r["x0"], r["h_max"], r["h_min"],
+                                         r["h_factor"])[2][-1]
+                if rule_refuses(offsets, r["x0"], h):
+                    refused.append((seed, r["function"]))
+        assert refused == []
 
 
 class TestStudyInput:
