@@ -86,7 +86,7 @@ def parse_formula_id(formula_id: str) -> tuple[str, int]:
 
 def formula_from_id(formula_id: str) -> CorrectionFormula:
     name, p = parse_formula_id(formula_id)
-    return family_named(name).build(p)[0]
+    return family_named(name).formula(p)
 
 
 def _json_dumps(obj: object, pad: str = "\n") -> str:

@@ -17,11 +17,10 @@ constant:
 
     formula(u)(x) = u^(m)(x) + error_constant * k**order * u^(m+order)(x) + ...
 
-Each named family is defined once, by its row in :data:`FAMILIES`.  Its
-generator (`centered_formula`, `forward_centered`, ...) gives only a seed, a
-sequence of correction words, and the sign or scale that converts
-``family_coefficients`` to the convention its defining identity is usually
-written in; the row gives the rest of one :func:`general_defcor` call.
+Each named family is defined once, by its row in :data:`FAMILIES`: seed,
+correction words, sign and order rule.  :meth:`Family.formula` makes one
+:func:`general_defcor` call of them, and each named generator
+(`centered_formula`, `forward_centered`, ...) returns its rows' formulas.
 """
 
 from __future__ import annotations
@@ -188,28 +187,6 @@ def general_defcor(
     )
 
 
-def _generate(
-    name: str, p: int, seed: OperatorExpr, words: Sequence[OperatorExpr], scale: int = 1
-) -> CorrectionFormula:
-    """The formula of registry row ``name`` at parameter ``p``.
-
-    The row sets the lowest ``p``, the order, the family name and the label;
-    ``seed`` sets ``m``.  ``scale`` multiplies the engine coefficients into
-    the family's conventional ``family_coefficients``.
-    """
-    row = family_named(name)
-    if p < row.min_p:
-        raise ValueError(f"p must be at least {row.min_p}")
-    order = row.order(p)
-    owner = _owner(row)
-    label = f"{owner.prefix}{order}" + ("" if owner is row else "-value")
-    formula = general_defcor(seed.diff_order, order, words, base=seed)
-    coeffs = formula.family_coefficients
-    if scale != 1:
-        coeffs = {i: c * scale for i, c in coeffs.items()}
-    return formula._replace(family_coefficients=coeffs, family=owner.name, label=label)
-
-
 def centered_formula(p: int) -> CorrectionFormula:
     """First derivative at a half-point, order ``2p + 2``.
 
@@ -218,8 +195,7 @@ def centered_formula(p: int) -> CorrectionFormula:
     two orders.  ``family_coefficients[2i+1]`` is the subtracted multiple of
     the order-``2i+1`` word and the error constant continues the sequence.
     """
-    words = [word(cent=1, fwd=i, bwd=i) for i in range(1, p + 1)]
-    return _generate("centered", p, word(cent=1), words)
+    return family_named("centered").formula(p)
 
 
 def centered_average_formula(p: int) -> CorrectionFormula:
@@ -229,8 +205,7 @@ def centered_average_formula(p: int) -> CorrectionFormula:
     centered words followed by an average, orders 2, 4, ..., 2p, achieving
     order ``2p + 2`` for the midpoint value itself.
     """
-    words = [word(avg=1, fwd=i, bwd=i) for i in range(1, p + 1)]
-    return _generate("centered-average", p, word(avg=1), words)
+    return family_named("centered-average").formula(p)
 
 
 def interior_centered(p: int) -> tuple[CorrectionFormula, CorrectionFormula]:
@@ -247,18 +222,8 @@ def interior_centered(p: int) -> tuple[CorrectionFormula, CorrectionFormula]:
     correction sum: odd entries are the engine coefficients times ``2p + 1``,
     even entries (from the value formula) are the engine coefficients.
     """
-    span = 2 * p + 1
-    odd = [word(cent=1, fwd=i, bwd=i) for i in range(1, p + 1)]
-    deriv = _generate("interior-centered", p, word(cent=1, spacing=span), odd, scale=span)
-    even = [word(avg=1, fwd=i, bwd=i) for i in range(1, p + 1)]
-    value = _generate("interior-centered-value", p, word(avg=1, spacing=span), even)
-    return deriv, value
-
-
-def _mixed_words(upto: int) -> list[OperatorExpr]:
-    # order-i word: bwd^(i % 2) (fwd bwd)^(i // 2); widest pattern that keeps
-    # at most one node ahead of the evaluation point.
-    return [word(fwd=i // 2, bwd=i // 2 + i % 2) for i in range(2, upto + 1)]
+    return (family_named("interior-centered").formula(p),
+            family_named("interior-centered-value").formula(p))
 
 
 def forward_centered(p: int) -> CorrectionFormula:
@@ -270,7 +235,7 @@ def forward_centered(p: int) -> CorrectionFormula:
     :func:`standard_forward`.  Achieves order ``p`` with error constant equal
     to the next coefficient in the family sequence.
     """
-    return _generate("forward-centered", p, word(fwd=1), _mixed_words(p))
+    return family_named("forward-centered").formula(p)
 
 
 def backward_centered(p: int) -> CorrectionFormula:
@@ -280,7 +245,7 @@ def backward_centered(p: int) -> CorrectionFormula:
     ``family_coefficients`` are the negated engine coefficients: they share
     the order-2 entry with the forward variant and flip sign from order 3 on.
     """
-    return _generate("backward-centered", p, word(bwd=1), _mixed_words(p), scale=-1)
+    return family_named("backward-centered").formula(p)
 
 
 def standard_forward(p: int) -> CorrectionFormula:
@@ -289,8 +254,7 @@ def standard_forward(p: int) -> CorrectionFormula:
     Corrections are the pure forward powers; the subtracted coefficients come
     out as ``(-1)**i / i`` with error constant ``(-1)**(p+1) / (p+1)``.
     """
-    words = [word(fwd=i) for i in range(2, p + 1)]
-    return _generate("standard-forward", p, word(fwd=1), words)
+    return family_named("standard-forward").formula(p)
 
 
 def standard_backward(p: int) -> CorrectionFormula:
@@ -301,27 +265,29 @@ def standard_backward(p: int) -> CorrectionFormula:
     coefficients are their negatives; the subtracted-side error constant is
     ``-1 / (p + 1)``.
     """
-    words = [word(bwd=i) for i in range(2, p + 1)]
-    return _generate("standard-backward", p, word(bwd=1), words, scale=-1)
+    return family_named("standard-backward").formula(p)
 
 
 # ---------------------------------------------------------------------------
 # the family registry
 
 
-class Family(namedtuple("Family", "name prefix aliases centered min_p build")):
-    """One named family's one definition: ids, parameter range, order rule.
+class Family(namedtuple("Family", "name prefix aliases centered min_p seed word sign build")):
+    """One named family's one definition: ids, order rule, seed and words.
 
     Centered families have symmetric seeds, so parameter ``p`` reaches order
-    ``2p + 2`` and only even orders exist; the others reach order ``p``.  The
-    family's generator gives only a seed, the correction words and the scale
-    of ``family_coefficients``; its ``p`` guard, order, family name and label
-    come from this row.  ``build(p)`` calls the generator and returns every
-    formula that one call yields; the first is the family's own formula.
-    A ``<family>-value`` row's formulas, which ``<family>`` builds too, carry
-    its name and label ``<prefix><order>-value``, and :func:`catalog` skips it.
-    :func:`family_named` finds a row by its name, ``prefix`` (``None`` for a row
-    without ids of its own) or ``aliases``, in any letter case.
+    ``2p + 2`` and only even orders exist; the others reach order ``p``.
+    ``seed(p)`` is the quotient the family corrects (its differentiation order
+    is the family's ``m``), ``word(d)`` its correction word of differentiation
+    order ``d``, and ``sign`` orients the engine coefficients to the family's
+    usual statement; :meth:`formula` builds the row's formula from them.
+    ``build(p)`` returns every formula the family's named generator yields,
+    the row's own first; it stays only as the path by which :func:`catalog`
+    and ``coeffs`` reach the generators, whose calls the benchmark counts.
+    A ``<family>-value`` row's formulas carry its owner's name and label
+    ``<prefix><order>-value``; :func:`catalog` skips it.  :func:`family_named`
+    finds a row by its name, ``prefix`` (``None`` for a row without ids of
+    its own) or ``aliases``, in any letter case.
     """
 
     __slots__ = ()
@@ -334,28 +300,60 @@ class Family(namedtuple("Family", "name prefix aliases centered min_p build")):
         p = (order - 2) // 2 if self.centered else order
         return p if p >= self.min_p and self.order(p) == order else None
 
+    def formula(self, p: int) -> CorrectionFormula:
+        """The row's formula at parameter ``p``, and no other.
 
-# Builders name the generators at call time rather than holding the function
-# objects, so a rebinding of a module attribute reaches every registry call.
-# The table order is the catalogue order.
+        The words of orders ``m + s, m + 2s, ...`` below ``m + order`` correct
+        the seed, ``s`` being 2 on centered rows and 1 otherwise.  A seed of
+        spacing factor ``step`` scales ``family_coefficients`` by ``step**m * sign``.
+        """
+        if p < self.min_p:
+            raise ValueError(f"p must be at least {self.min_p}")
+        seed, order, s = self.seed(p), self.order(p), 1 + self.centered
+        m = seed.diff_order
+        formula = general_defcor(m, order, [self.word(d) for d in range(m + s, m + order, s)], seed)
+        # ints for a whole step: ``Fraction`` arithmetic runs Python code per formula
+        num, den = seed.spacing_factor.as_integer_ratio()
+        scale = num**m * self.sign if den == 1 else Fraction(num**m * self.sign, den**m)
+        coeffs = formula.family_coefficients
+        if scale != 1:
+            coeffs = {i: c * scale for i, c in coeffs.items()}
+        owner = _owner(self)
+        label = f"{owner.prefix}{order}" + ("" if owner is self else "-value")
+        return formula._replace(family_coefficients=coeffs, family=owner.name, label=label)
+
+
+def _centered(d: int, spacing: int = 1) -> OperatorExpr:
+    # cent (fwd bwd)^(d // 2) at odd d, avg (fwd bwd)^(d // 2) at even d
+    return word(fwd=d // 2, bwd=d // 2, cent=d % 2, avg=1 - d % 2, spacing=spacing)
+
+
+def _hugging(d: int) -> OperatorExpr:
+    # bwd^(d % 2) (fwd bwd)^(d // 2): widest with at most one node ahead of x
+    return word(fwd=d // 2, bwd=d // 2 + d % 2)
+
+
+# Rows and ``Family.formula`` look their functions up at call time rather than
+# holding the function objects, so a rebinding of a module attribute reaches
+# every registry call.  The table order is the catalogue order.
 FAMILIES: tuple[Family, ...] = (
-    # name, prefix, aliases, centered, min_p, build
-    Family("centered", "C", (), True, 1,
+    # name, prefix, aliases, centered, min_p, seed, word, sign, build
+    Family("centered", "C", (), True, 1, lambda p: _centered(1), _centered, 1,
            lambda p: (centered_formula(p),)),
-    Family("centered-average", "CA", ("average",), True, 1,
-           lambda p: (centered_average_formula(p),)),
+    Family("centered-average", "CA", ("average",), True, 1, lambda p: _centered(0),
+           _centered, 1, lambda p: (centered_average_formula(p),)),
     Family("interior-centered", "IC", ("interior",), True, 1,
-           lambda p: interior_centered(p)),
-    Family("interior-centered-value", None, (), True, 1,
-           lambda p: interior_centered(p)[1:]),
-    Family("forward-centered", "FC", (), False, 2,
+           lambda p: _centered(1, 2 * p + 1), _centered, 1, lambda p: interior_centered(p)),
+    Family("interior-centered-value", None, (), True, 1, lambda p: _centered(0, 2 * p + 1),
+           _centered, 1, lambda p: (family_named("interior-centered-value").formula(p),)),
+    Family("forward-centered", "FC", (), False, 2, lambda p: word(fwd=1), _hugging, 1,
            lambda p: (forward_centered(p),)),
-    Family("backward-centered", "BC", (), False, 2,
+    Family("backward-centered", "BC", (), False, 2, lambda p: word(bwd=1), _hugging, -1,
            lambda p: (backward_centered(p),)),
-    Family("standard-forward", "F", ("forward",), False, 2,
-           lambda p: (standard_forward(p),)),
-    Family("standard-backward", "B", ("backward",), False, 2,
-           lambda p: (standard_backward(p),)),
+    Family("standard-forward", "F", ("forward",), False, 2, lambda p: word(fwd=1),
+           lambda d: word(fwd=d), 1, lambda p: (standard_forward(p),)),
+    Family("standard-backward", "B", ("backward",), False, 2, lambda p: word(bwd=1),
+           lambda d: word(bwd=d), -1, lambda p: (standard_backward(p),)),
 )
 
 

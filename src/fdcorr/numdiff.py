@@ -94,7 +94,9 @@ def _column_sums(stencils, f: Callable, x0: float, spacings) -> list[list[float]
 
 def _require_resolution(offsets: Iterable[Rational], x0: float, h: float) -> None:
     """Raise unless distinct ``offsets`` sample distinct points at every spacing from ``h`` up."""
-    offsets, floor = sorted(set(offsets)), 2**-53 * 2.01 * abs(x0) + 2**-1073
+    # keyed by ratio, since hashing a Fraction runs Python code
+    offsets = sorted({o.as_integer_ratio(): o for o in offsets}.values())
+    floor = 2**-53 * 2.01 * abs(x0) + 2**-1073
     for a, b in zip(offsets, offsets[1:]):
         # x0 + float(o)*h is within u|x0| + 3u|o|h + 2*2**-1075 of x0 + o*h, u = 2**-53: the
         # offset's, product's and sum's rounding (Higham, Accuracy and Stability of Numerical

@@ -158,6 +158,22 @@ class TestFamilies:
         for family in FAMILIES:
             assert family.param(family.order(family.min_p - 1)) is None
 
+    @pytest.mark.parametrize(
+        "formula_id",
+        ["IC8", "interior-centered-value:p=3"]
+        + [f"{f.prefix}{f.order(f.min_p + 1)}" for f in FAMILIES if f.prefix not in (None, "IC")],
+    )
+    def test_an_id_builds_only_the_formula_it_names(self, monkeypatch, formula_id):
+        calls, engine = [], fdcorr.defcor.general_defcor
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(fdcorr.defcor, "general_defcor", counted)
+        formula_from_id(formula_id)
+        assert len(calls) == 1
+
     def test_catalog_builds_each_label_once(self):
         labels = [formula.label for formula in catalog(8)]
         assert len(labels) == len(set(labels)) == 4 * 3 + 4 * 7

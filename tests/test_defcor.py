@@ -291,6 +291,16 @@ class TestRegistryRows:
                 expected = (row.name, f"{row.prefix}{order}")
             assert (formulas[0].family, formulas[0].label) == expected
 
+    @pytest.mark.parametrize("row", FAMILIES, ids=lambda f: f.name)
+    def test_the_rows_formula_is_the_first_it_builds(self, row):
+        for p in range(row.min_p, row.min_p + 4):
+            assert row.formula(p) == row.build(p)[0], p
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_interior_centered_is_its_two_rows_formulas(self, p):
+        rows = [family_named("interior-centered"), family_named("interior-centered-value")]
+        assert interior_centered(p) == tuple(row.formula(p) for row in rows)
+
 
 class TestSecondDerivativeConstants:
     def test_order_two(self):

@@ -18,6 +18,14 @@ from fdcorr.defcor import Family
 F = Fraction
 
 
+def _seed(p):
+    return word(fwd=1)
+
+
+def _word(d):
+    return word(fwd=d)
+
+
 def _build(p):
     return ()
 
@@ -38,8 +46,8 @@ CASES = {
         ("general", ""),
     ),
     Family: (
-        ("name", "prefix", "aliases", "centered", "min_p", "build"),
-        ("probe", "P", ("pr",), False, 2, _build),
+        ("name", "prefix", "aliases", "centered", "min_p", "seed", "word", "sign", "build"),
+        ("probe", "P", ("pr",), False, 2, _seed, _word, -1, _build),
         (),
     ),
     Stencil: (
