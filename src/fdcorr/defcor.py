@@ -312,9 +312,7 @@ class Family(namedtuple("Family", "name prefix aliases centered min_p seed word 
         seed, order, s = self.seed(p), self.order(p), 1 + self.centered
         m = seed.diff_order
         formula = general_defcor(m, order, [self.word(d) for d in range(m + s, m + order, s)], seed)
-        # ints for a whole step: ``Fraction`` arithmetic runs Python code per formula
-        num, den = seed.spacing_factor.as_integer_ratio()
-        scale = num**m * self.sign if den == 1 else Fraction(num**m * self.sign, den**m)
+        scale = seed.spacing_factor**m * self.sign
         coeffs = formula.family_coefficients
         if scale != 1:
             coeffs = {i: c * scale for i, c in coeffs.items()}

@@ -271,6 +271,36 @@ class TestOneSidedFamilies:
         assert abs(mixed.error_constant) < abs(plain.error_constant)
 
 
+def _listed_words(name, p):
+    # each family's seed, correction words and coefficient scale, written out
+    # word by word rather than through the rows' word rules
+    odd = [word(cent=1, fwd=i, bwd=i) for i in range(1, p + 1)]
+    even = [word(avg=1, fwd=i, bwd=i) for i in range(1, p + 1)]
+    hugging = [word(fwd=i // 2, bwd=i // 2 + i % 2) for i in range(2, p + 1)]
+    return {
+        "centered": (word(cent=1), odd, 1),
+        "centered-average": (word(avg=1), even, 1),
+        "interior-centered": (word(cent=1, spacing=2 * p + 1), odd, 2 * p + 1),
+        "interior-centered-value": (word(avg=1, spacing=2 * p + 1), even, 1),
+        "forward-centered": (word(fwd=1), hugging, 1),
+        "backward-centered": (word(bwd=1), hugging, -1),
+        "standard-forward": (word(fwd=1), [word(fwd=i) for i in range(2, p + 1)], 1),
+        "standard-backward": (word(bwd=1), [word(bwd=i) for i in range(2, p + 1)], -1),
+    }[name]
+
+
+def listed_formula(name, p):
+    seed, words, scale = _listed_words(name, p)
+    order = p if "forward" in name or "backward" in name else 2 * p + 2
+    formula = general_defcor(seed.diff_order, order, words, base=seed)
+    coeffs = {i: c * scale for i, c in formula.family_coefficients.items()}
+    if name == "interior-centered-value":
+        family, label = "interior-centered", f"IC{order}-value"
+    else:
+        family, label = name, f"{family_named(name).prefix}{order}"
+    return formula._replace(family_coefficients=coeffs, family=family, label=label)
+
+
 class TestRegistryRows:
     """Each ``FAMILIES`` row fixes its family's lowest p, orders and labels."""
 
@@ -292,14 +322,15 @@ class TestRegistryRows:
             assert (formulas[0].family, formulas[0].label) == expected
 
     @pytest.mark.parametrize("row", FAMILIES, ids=lambda f: f.name)
-    def test_the_rows_formula_is_the_first_it_builds(self, row):
+    def test_each_row_builds_the_formula_of_its_listed_words(self, row):
         for p in range(row.min_p, row.min_p + 4):
-            assert row.formula(p) == row.build(p)[0], p
-
-    @pytest.mark.parametrize("p", [1, 2, 3, 4])
-    def test_interior_centered_is_its_two_rows_formulas(self, p):
-        rows = [family_named("interior-centered"), family_named("interior-centered-value")]
-        assert interior_centered(p) == tuple(row.formula(p) for row in rows)
+            expected = listed_formula(row.name, p)
+            assert row.formula(p) == expected, p
+            if row.name == "interior-centered":
+                value = listed_formula("interior-centered-value", p)
+                assert row.build(p) == interior_centered(p) == (expected, value), p
+            else:
+                assert row.build(p) == (expected,), p
 
 
 class TestSecondDerivativeConstants:
