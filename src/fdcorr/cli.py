@@ -1,10 +1,11 @@
 """Command-line interface: coefficient tables, stencils, convergence studies.
 
 Formula ids come in a short form, a family prefix plus accuracy order
-(``B6``, ``BC10``, ``IC6``, ``C8``), and a long form naming the family
-parameter directly (``centered:p=3``).  :data:`fdcorr.defcor.FAMILIES` lists
-every family with its prefix and aliases.  Centered families only exist at
-even orders.
+(``B6``, ``BC10``, ``IC6``, ``C8``; ``IC6-value`` names a value row's formula
+by its label), and a long form naming the family parameter directly
+(``centered:p=3``); their digits are ASCII.  :data:`fdcorr.defcor.FAMILIES`
+lists every family with its prefix and aliases.  Centered families only exist
+at even orders.
 
 Interior-centered formulas approximate at the midpoint of an interval whose
 endpoints are their widest nodes; for ``study`` the given ``x0`` is that
@@ -62,15 +63,17 @@ def _number(digits: str, context: str) -> int:
 def parse_formula_id(formula_id: str) -> tuple[str, int]:
     """Parse an id to ``(family, p)`` where ``p`` is the family parameter."""
     text = formula_id.strip()
-    if long_form := re.fullmatch(r"([a-z-]+):p=(\d+)", text, re.IGNORECASE):
+    if long_form := re.fullmatch(r"([a-z-]+):p=(\d+)", text, re.IGNORECASE | re.ASCII):
         family = family_named(long_form.group(1))
         if family is None:
             raise FormulaIdError(f"unknown family in {formula_id!r}")
         p = _number(long_form.group(2), repr(formula_id))
-    elif short := re.fullmatch(r"([A-Za-z]+)(\d+)", text):
+    elif short := re.fullmatch(r"([a-z]+)(\d+)(-value)?", text, re.IGNORECASE | re.ASCII):
         family = family_named(short.group(1))
         if family is None or family.prefix != short.group(1).upper():
             raise FormulaIdError(f"unknown family prefix in {formula_id!r}")
+        if short.group(3) and (family := family_named(f"{family.name}-value")) is None:
+            raise FormulaIdError(f"{formula_id!r}: {short.group(1).upper()} has no value formulas")
         p = family.param(_number(short.group(2), repr(formula_id)))
         if p is None:
             orders = "even orders" if family.centered else "orders"

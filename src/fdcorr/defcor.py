@@ -18,7 +18,7 @@ constant:
     formula(u)(x) = u^(m)(x) + error_constant * k**order * u^(m+order)(x) + ...
 
 Each named family is defined once, by its row in :data:`FAMILIES`: seed,
-correction words, sign and order rule.  :meth:`Family.formula` makes one
+correction words and order rule.  :meth:`Family.formula` makes one
 :func:`general_defcor` call of them, and each named generator
 (`centered_formula`, `forward_centered`, ...) returns its rows' formulas.
 """
@@ -272,25 +272,28 @@ def standard_backward(p: int) -> CorrectionFormula:
 # the family registry
 
 
-class Family(namedtuple("Family", "name prefix aliases centered min_p seed word sign build")):
+class Family(namedtuple("Family", "name prefix aliases centered seed word build")):
     """One named family's one definition: ids, order rule, seed and words.
 
     Centered families have symmetric seeds, so parameter ``p`` reaches order
-    ``2p + 2`` and only even orders exist; the others reach order ``p``.
-    ``seed(p)`` is the quotient the family corrects (its differentiation order
-    is the family's ``m``), ``word(d)`` its correction word of differentiation
-    order ``d``, and ``sign`` orients the engine coefficients to the family's
-    usual statement; :meth:`formula` builds the row's formula from them.
+    ``2p + 2`` and only even orders exist; the others reach order ``p``, and
+    ``min_p`` is the first ``p`` with one correction word.  ``seed(p)`` is the
+    quotient the family corrects (its differentiation order is ``m``) and
+    ``word(d)`` its correction word of differentiation order ``d``;
+    :meth:`formula` builds the row's formula from them.
     ``build(p)`` returns every formula the family's named generator yields,
     the row's own first; it stays only as the path by which :func:`catalog`
     and ``coeffs`` reach the generators, whose calls the benchmark counts.
-    A ``<family>-value`` row's formulas carry its owner's name and label
-    ``<prefix><order>-value``; :func:`catalog` skips it.  :func:`family_named`
-    finds a row by its name, ``prefix`` (``None`` for a row without ids of
-    its own) or ``aliases``, in any letter case.
+    A ``<family>-value`` row has no ``prefix``; its formulas carry its owner's
+    name and label ``<prefix><order>-value``, and :func:`catalog` skips it.
+    :func:`family_named` finds a row by its name, prefix or alias, in any case.
     """
 
     __slots__ = ()
+
+    @property
+    def min_p(self) -> int:
+        return 1 if self.centered else 2
 
     def order(self, p: int) -> int:
         return 2 * p + 2 if self.centered else p
@@ -304,19 +307,19 @@ class Family(namedtuple("Family", "name prefix aliases centered min_p seed word 
         """The row's formula at parameter ``p``, and no other.
 
         The words of orders ``m + s, m + 2s, ...`` below ``m + order`` correct
-        the seed, ``s`` being 2 on centered rows and 1 otherwise.  A seed of
-        spacing factor ``step`` scales ``family_coefficients`` by ``step**m * sign``.
+        the seed, ``s`` being 2 on centered rows and 1 otherwise.  The usual
+        statement adds the corrections of a backward seed, so a seed of spacing
+        factor ``step`` scales ``family_coefficients`` by ``step**m``, negated
+        when it leans backward.
         """
         if p < self.min_p:
             raise ValueError(f"p must be at least {self.min_p}")
         seed, order, s = self.seed(p), self.order(p), 1 + self.centered
         m = seed.diff_order
         formula = general_defcor(m, order, [self.word(d) for d in range(m + s, m + order, s)], seed)
-        scale = seed.spacing_factor**m * self.sign
-        coeffs = formula.family_coefficients
-        if scale != 1:
-            coeffs = {i: c * scale for i, c in coeffs.items()}
-        owner = _owner(self)
+        scale = seed.spacing_factor**m * (-1 if seed.p_bwd > seed.p_fwd else 1)
+        coeffs = {i: c * scale for i, c in formula.family_coefficients.items()}
+        owner = _ROWS[self.name.removesuffix("-value")]
         label = f"{owner.prefix}{order}" + ("" if owner is self else "-value")
         return formula._replace(family_coefficients=coeffs, family=owner.name, label=label)
 
@@ -335,24 +338,27 @@ def _hugging(d: int) -> OperatorExpr:
 # holding the function objects, so a rebinding of a module attribute reaches
 # every registry call.  The table order is the catalogue order.
 FAMILIES: tuple[Family, ...] = (
-    # name, prefix, aliases, centered, min_p, seed, word, sign, build
-    Family("centered", "C", (), True, 1, lambda p: _centered(1), _centered, 1,
+    # name, prefix, aliases, centered, seed, word, build
+    Family("centered", "C", (), True, lambda p: _centered(1), _centered,
            lambda p: (centered_formula(p),)),
-    Family("centered-average", "CA", ("average",), True, 1, lambda p: _centered(0),
-           _centered, 1, lambda p: (centered_average_formula(p),)),
-    Family("interior-centered", "IC", ("interior",), True, 1,
-           lambda p: _centered(1, 2 * p + 1), _centered, 1, lambda p: interior_centered(p)),
-    Family("interior-centered-value", None, (), True, 1, lambda p: _centered(0, 2 * p + 1),
-           _centered, 1, lambda p: (family_named("interior-centered-value").formula(p),)),
-    Family("forward-centered", "FC", (), False, 2, lambda p: word(fwd=1), _hugging, 1,
+    Family("centered-average", "CA", ("average",), True, lambda p: _centered(0), _centered,
+           lambda p: (centered_average_formula(p),)),
+    Family("interior-centered", "IC", ("interior",), True, lambda p: _centered(1, 2 * p + 1),
+           _centered, lambda p: interior_centered(p)),
+    Family("interior-centered-value", None, (), True, lambda p: _centered(0, 2 * p + 1),
+           _centered, lambda p: (family_named("interior-centered-value").formula(p),)),
+    Family("forward-centered", "FC", (), False, lambda p: word(fwd=1), _hugging,
            lambda p: (forward_centered(p),)),
-    Family("backward-centered", "BC", (), False, 2, lambda p: word(bwd=1), _hugging, -1,
+    Family("backward-centered", "BC", (), False, lambda p: word(bwd=1), _hugging,
            lambda p: (backward_centered(p),)),
-    Family("standard-forward", "F", ("forward",), False, 2, lambda p: word(fwd=1),
-           lambda d: word(fwd=d), 1, lambda p: (standard_forward(p),)),
-    Family("standard-backward", "B", ("backward",), False, 2, lambda p: word(bwd=1),
-           lambda d: word(bwd=d), -1, lambda p: (standard_backward(p),)),
+    Family("standard-forward", "F", ("forward",), False, lambda p: word(fwd=1),
+           lambda d: word(fwd=d), lambda p: (standard_forward(p),)),
+    Family("standard-backward", "B", ("backward",), False, lambda p: word(bwd=1),
+           lambda d: word(bwd=d), lambda p: (standard_backward(p),)),
 )
+
+# Every name, alias and lower-cased prefix, each naming its one row.
+_ROWS = {key.lower(): f for f in FAMILIES for key in (f.name, *f.aliases, f.prefix or f.name)}
 
 
 # Not in ``__all__`` (nor is ``family_named``): ``verify-all`` runs through
@@ -360,14 +366,7 @@ FAMILIES: tuple[Family, ...] = (
 # calls of.
 def family_named(name: str) -> Family | None:
     """The row whose name, prefix or alias is ``name``, in any letter case."""
-    key = name.lower()
-    return next(
-        (f for f in FAMILIES if key in (f.name, *f.aliases, f.prefix and f.prefix.lower())), None
-    )
-
-
-def _owner(row: Family) -> Family:
-    return family_named(row.name.removesuffix("-value"))
+    return _ROWS.get(name.lower())
 
 
 def catalog(max_order: int) -> Iterator[CorrectionFormula]:
@@ -377,7 +376,7 @@ def catalog(max_order: int) -> Iterator[CorrectionFormula]:
     the parameter runs outermost and the families follow table order.
     """
     for centered in (True, False):
-        group = [f for f in FAMILIES if _owner(f) is f and f.centered is centered]
+        group = [f for f in FAMILIES if f.prefix and f.centered is centered]
         for p in range(1, max_order + 1):
             for family in group:
                 if p >= family.min_p and family.order(p) <= max_order:

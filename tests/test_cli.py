@@ -69,6 +69,9 @@ class TestFormulaIds:
             ("centered:p=3", ("centered", 3)),
             ("standard-backward:p=6", ("standard-backward", 6)),
             ("ic:p=4", ("interior-centered", 4)),
+            # the labels of value formulas
+            ("IC4-value", ("interior-centered-value", 1)),
+            ("ic8-VALUE", ("interior-centered-value", 3)),
             # more leading zeros than ``int`` takes in one string
             pytest.param("C" + "0" * 5000 + "8", ("centered", 3), id="C0x5000-8"),
         ],
@@ -78,11 +81,25 @@ class TestFormulaIds:
 
     @pytest.mark.parametrize(
         "bad",
-        ["C5", "C2", "IC7", "B1", "Q6", "centered", "x:p=2", "centered:p=0", "b:p=1"],
+        ["C5", "C2", "IC7", "B1", "Q6", "centered", "x:p=2", "centered:p=0", "b:p=1",
+         "IC5-value", "IC2-value", "IC4-values", "IC4value", "Q4-value"],
     )
     def test_invalid_ids(self, bad):
         with pytest.raises(FormulaIdError):
             parse_formula_id(bad)
+
+    # ``\d`` without ``re.ASCII`` takes any Unicode digit: Arabic-Indic four, fullwidth one
+    @pytest.mark.parametrize(
+        "formula_id", ["C\u0664", "centered:p=\uff11"], ids=["C-arabic-indic-4", "p-fullwidth-1"]
+    )
+    def test_non_ascii_digits_exit_2(self, capsys, monkeypatch, formula_id):
+        err = exits_2_before_generating(capsys, monkeypatch, "stencil", formula_id)
+        assert err == f"fdcorr: error: cannot parse formula id {formula_id!r}\n"
+
+    @pytest.mark.parametrize("prefix", [f.prefix for f in FAMILIES if f.prefix not in (None, "IC")])
+    def test_a_value_label_of_a_row_without_value_formulas_exits_2(self, capsys, monkeypatch, prefix):
+        err = exits_2_before_generating(capsys, monkeypatch, "stencil", f"{prefix}4-value")
+        assert err == f"fdcorr: error: '{prefix}4-value': {prefix} has no value formulas\n"
 
     def test_order_cap_is_inclusive(self):
         assert MAX_ORDER == 200
@@ -173,6 +190,10 @@ class TestFamilies:
         monkeypatch.setattr(fdcorr.defcor, "general_defcor", counted)
         formula_from_id(formula_id)
         assert len(calls) == 1
+
+    def test_every_label_is_an_id_of_its_formula(self):
+        for formula in catalog(40):
+            assert formula_from_id(formula.label) == formula, formula.label
 
     def test_catalog_builds_each_label_once(self):
         labels = [formula.label for formula in catalog(8)]
@@ -479,6 +500,10 @@ class TestStudy:
             # whitespace around an id is no second spelling
             (" C4 , C4", "formula id 'C4' is given more than once"),
             ("centered:p=1,C4", "formula id 'C4' names the same formula as 'centered:p=1'"),
+            (
+                "IC4-value,interior-centered-value:p=1",
+                "formula id 'interior-centered-value:p=1' names the same formula as 'IC4-value'",
+            ),
         ],
     )
     def test_one_formula_under_two_spellings_exits_2_before_generating_or_any_directory(

@@ -310,6 +310,12 @@ class TestRegistryRows:
             row.build(row.min_p - 1)
 
     @pytest.mark.parametrize("row", FAMILIES, ids=lambda f: f.name)
+    def test_min_p_is_the_first_p_with_one_correction_word(self, row):
+        assert len(row.formula(row.min_p).terms) == 1
+        with pytest.raises(ValueError, match=rf"^p must be at least {row.min_p}$"):
+            row.formula(row.min_p - 1)
+
+    @pytest.mark.parametrize("row", FAMILIES, ids=lambda f: f.name)
     def test_formulas_follow_the_row(self, row):
         for p in (row.min_p, row.min_p + 2):
             order = row.order(p)

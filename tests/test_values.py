@@ -46,8 +46,8 @@ CASES = {
         ("general", ""),
     ),
     Family: (
-        ("name", "prefix", "aliases", "centered", "min_p", "seed", "word", "sign", "build"),
-        ("probe", "P", ("pr",), False, 2, _seed, _word, -1, _build),
+        ("name", "prefix", "aliases", "centered", "seed", "word", "build"),
+        ("probe", "P", ("pr",), False, _seed, _word, _build),
         (),
     ),
     Stencil: (
