@@ -20,8 +20,8 @@ keyed by the nodes' ``(offset, weight)`` integer ratios, in dict order, and
 the lead.  A miss builds the lattice, checks the moments through the lead
 once and keeps the lattice with the series, so a hit costs only the ratios.
 A series to truncation ``T`` is a prefix of the same series to any deeper
-``T'``: a deeper request extends the kept entry from where it stopped, a
-shallower one reads its prefix, and either way every coefficient is the
+``T'``: a deeper request extends the kept entry from where it stopped, and
+every request gets one copy filtered to ``T``, each coefficient the
 ``Fraction`` a fresh computation gives.
 """
 
@@ -75,10 +75,9 @@ def series_from_nodes(
     Raises ``ValueError`` if the node sums do not annihilate all powers below
     ``lead`` or fail to reproduce the lead derivative with coefficient
     exactly 1, and ``TypeError`` if an offset or weight is neither an
-    ``int`` nor a ``Fraction``.  Each node set's lattice and coefficients are kept by
-    :func:`_kept`, keyed by the nodes' integer ratios and ``lead``: a deeper
-    truncation extends them, a shallower one reads their prefix.  Every call
-    returns a fresh ``coeffs`` dict.
+    ``int`` nor a ``Fraction``.  :func:`_kept` holds each node set's lattice
+    and deepest coefficients; a deeper truncation extends them, and every
+    call returns a fresh ``coeffs`` dict of the terms through ``truncation``.
     """
     if truncation <= lead:
         raise ValueError(
@@ -95,10 +94,7 @@ def series_from_nodes(
             if total:
                 coeffs[i] = Fraction(total, den_i * factorial)
         kept[1] = truncation, coeffs
-    if truncation >= done:  # the kept depth, or the depth just extended to
-        prefix = dict(coeffs)
-    else:
-        prefix = {i: c for i, c in coeffs.items() if i <= truncation}
+    prefix = {i: c for i, c in coeffs.items() if i <= truncation}
     return ErrorSeries(lead=lead, coeffs=prefix, truncation=truncation)
 
 

@@ -24,7 +24,8 @@ from fdcorr import (
     standard_forward,
     word,
 )
-from fdcorr.defcor import FAMILIES, family_named
+from fdcorr import defcor, gridops, taylorseries
+from fdcorr.defcor import FAMILIES, catalog, family_named
 
 
 def frac(n, d=1):
@@ -556,6 +557,29 @@ def test_flattened_series_confirms_order_and_constant(formula):
     for i in range(formula.m + 1, formula.m + formula.order):
         assert series.coefficient(i) == 0
     assert series.coefficient(formula.m + formula.order) == formula.error_constant
+
+
+def test_the_engine_reads_no_term_past_lead_plus_order_plus_one(monkeypatch):
+    """Series cut at ``m + order + 1`` give every catalogue formula and stencil.
+
+    ``default_truncation`` asks for ``m + 2 * order + 2``; with both caches
+    emptied, so that no series deeper than the cut is kept, the shallower
+    depth builds the same formulas through order 42, which covers every
+    ``deep`` benchmark id.
+    """
+    want = [(f, flatten(f)) for f in catalog(42)]
+    asked = []
+
+    def tight(lead, order):
+        asked.append((lead, order))
+        return lead + order + 1
+
+    taylorseries._kept.cache_clear()
+    gridops._expansion.cache_clear()
+    monkeypatch.setattr(defcor, "default_truncation", tight)
+    got = [(f, flatten(f)) for f in catalog(42)]
+    assert len(asked) == len(got) == len(want)
+    assert got == want
 
 
 def stencil_key(st):
