@@ -30,7 +30,7 @@ from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 
 from .exactmath import Rational, format_rational, lattice
-from .gridops import OperatorExpr, word
+from .gridops import _ONE, OperatorExpr, word
 from .taylorseries import default_truncation, error_series
 
 __all__ = [
@@ -324,7 +324,7 @@ class Family(namedtuple("Family", "name prefix aliases centered seed word build"
         return formula._replace(family_coefficients=coeffs, family=owner.name, label=label)
 
 
-def _centered(d: int, spacing: int = 1) -> OperatorExpr:
+def _centered(d: int, spacing: Rational | int = _ONE) -> OperatorExpr:
     # cent (fwd bwd)^(d // 2) at odd d, avg (fwd bwd)^(d // 2) at even d
     return word(fwd=d // 2, bwd=d // 2, cent=d % 2, avg=1 - d % 2, spacing=spacing)
 

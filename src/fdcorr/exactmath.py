@@ -99,20 +99,20 @@ def lattice(pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
 
 
 def power_sums(
-    points: Sequence[int], scale: int, terms: Sequence[int], den: int, start: int = 0
-) -> Iterator[tuple[int, int]]:
-    """Moments ``sum_j w_j o_j**i`` for ``i = start, start + 1, ...`` as ``(num, den)``.
+    points: Sequence[int], scale: int, terms: Sequence[int], den: int
+) -> Iterator[tuple[int, int, list[int]]]:
+    """Moments ``sum_j w_j o_j**i`` from a running state on, as ``(num, den, terms)``.
 
     With offsets ``o_j == a_j / L`` and weights ``w_j == b_j / D``, the
-    :func:`lattice` of each, moment ``i`` is the integer sum
-    ``sum_j b_j a_j**i`` over ``D * L**i``, left unreduced so callers divide
-    once (by ``i!`` too, for a Taylor term).  The running products live only
-    as long as the iterator.
+    :func:`lattice` of each, the state at degree ``i`` is the terms
+    ``b_j a_j**i`` over ``D * L**i`` (the weights' lattice at degree 0), and
+    moment ``i`` is their sum, left unreduced so callers divide once (by
+    ``i!`` too, for a Taylor term).  Each item's ``terms`` is a list never
+    changed after, so a caller may keep it and resume from the next degree's
+    terms ``b_j a_j**(i + 1)`` over ``D * L**(i + 1)``.
     """
-    terms = [b * a**start for a, b in zip(points, terms)]
-    den *= scale**start
     while True:
-        yield sum(terms), den
+        yield sum(terms), den, terms
         terms = list(map(mul, terms, points))
         den *= scale
 

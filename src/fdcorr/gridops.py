@@ -47,6 +47,8 @@ __all__ = [
     "product_rule_check",
 ]
 
+_ZERO, _ONE = Fraction(0), Fraction(1)  # every word's default anchor and step, shared
+
 
 class OperatorExpr(
     namedtuple("OperatorExpr", "p_fwd p_bwd p_cent p_avg base_shift spacing_factor")
@@ -69,8 +71,8 @@ class OperatorExpr(
         p_bwd: int = 0,
         p_cent: int = 0,
         p_avg: int = 0,
-        base_shift: RationalLike = Fraction(0),
-        spacing_factor: RationalLike = Fraction(1),
+        base_shift: RationalLike = _ZERO,
+        spacing_factor: RationalLike = _ONE,
     ) -> OperatorExpr:
         for name, power in zip(cls._fields, (p_fwd, p_bwd, p_cent, p_avg)):
             if power < 0:
@@ -106,8 +108,8 @@ def word(
     bwd: int = 0,
     cent: int = 0,
     avg: int = 0,
-    shift: RationalLike = 0,
-    spacing: RationalLike = 1,
+    shift: RationalLike = _ZERO,
+    spacing: RationalLike = _ONE,
 ) -> OperatorExpr:
     """Shorthand constructor for :class:`OperatorExpr`."""
     return OperatorExpr(fwd, bwd, cent, avg, shift, spacing)

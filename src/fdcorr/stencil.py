@@ -216,7 +216,7 @@ def verify(stencil: Stencil) -> StencilCheck:
     first_failed = failed_value = None
     factorial = 1
     sums = power_sums(*lattice(ratios(stencil.offsets)), *lattice(ratios(stencil.weights)))
-    for r, (total, den) in zip(range(top + 1), sums):
+    for r, (total, den, _) in zip(range(top + 1), sums):
         factorial *= r or 1
         if r == top:
             recomputed = Fraction(total, den * factorial)

@@ -18,11 +18,11 @@ Many formulas share words, so :func:`series_from_nodes` keeps each node
 set's coefficients for the rest of the process in a ``functools.lru_cache``
 keyed by the nodes' ``(offset, weight)`` integer ratios, in dict order, and
 the lead.  A miss builds the lattice, checks the moments through the lead
-once and keeps the lattice with the series, so a hit costs only the ratios.
-A series to truncation ``T`` is a prefix of the same series to any deeper
-``T'``: a deeper request extends the kept entry from where it stopped, and
-every request gets one copy filtered to ``T``, each coefficient the
-``Fraction`` a fresh computation gives.
+once and keeps the moment state with the series, so a hit costs only the
+ratios.  A series to truncation ``T`` is a prefix of the same series to any
+deeper ``T'``: a deeper request resumes the kept moment sums where they
+stopped, and every request gets one copy filtered to ``T``, each coefficient
+the ``Fraction`` a fresh computation gives.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import math
 from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
+from operator import mul
 
 from .exactmath import Rational, lattice, power_sums, ratios
 from .gridops import _CACHE_SIZE, OperatorExpr, expand
@@ -75,51 +76,51 @@ def series_from_nodes(
     Raises ``ValueError`` if the node sums do not annihilate all powers below
     ``lead`` or fail to reproduce the lead derivative with coefficient
     exactly 1, and ``TypeError`` if an offset or weight is neither an
-    ``int`` nor a ``Fraction``.  :func:`_kept` holds each node set's lattice
-    and deepest coefficients; a deeper truncation extends them, and every
-    call returns a fresh ``coeffs`` dict of the terms through ``truncation``.
+    ``int`` nor a ``Fraction``.  :func:`_kept` holds each node set's deepest
+    coefficients and moment state; a deeper truncation resumes from it, and
+    every call returns a fresh ``coeffs`` dict of the terms through ``truncation``.
     """
     if truncation <= lead:
         raise ValueError(
             f"truncation must exceed the lead order {lead}, got {truncation}"
         )
     kept = _kept(tuple(ratios(nodes)), tuple(ratios(nodes.values())), lead)
-    grid, (done, coeffs) = kept
+    (points, scale), (done, coeffs, terms, den, factorial) = kept
     if truncation > done:
         coeffs = dict(coeffs)
-        factorial = math.factorial(done)
-        sums = power_sums(*grid, done + 1)
-        for i, (total, den_i) in zip(range(done + 1, truncation + 1), sums):
+        sums = power_sums(points, scale, list(map(mul, terms, points)), den * scale)
+        for i, (total, den, terms) in zip(range(done + 1, truncation + 1), sums):
             factorial *= i
             if total:
-                coeffs[i] = Fraction(total, den_i * factorial)
-        kept[1] = truncation, coeffs
+                coeffs[i] = Fraction(total, den * factorial)
+        kept[1] = truncation, coeffs, terms, den, factorial
     prefix = {i: c for i, c in coeffs.items() if i <= truncation}
     return ErrorSeries(lead=lead, coeffs=prefix, truncation=truncation)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _kept(offsets, weights, lead) -> list:
-    # ``[grid, (truncation, coeffs)]``: the lattices of the node set's offsets
-    # and weights, and its deepest series so far, once its moments through
-    # ``lead`` pass; a call that raises keeps nothing.  The one write,
-    # ``kept[1] = ...``, swaps in a new pair and changes no dict a caller or
-    # thread may be reading.  It needs no lock: of two threads extending at
-    # once the later store wins, which loses depth, never a term.
-    grid = (*lattice(offsets), *lattice(weights))
-    sums = power_sums(*grid, 0)
-    for i, (total, den_i) in zip(range(lead), sums):
+    # ``[(points, scale), (done, coeffs, terms, den, done!)]``: the offsets'
+    # lattice, the series through ``done`` and the ``power_sums`` state there,
+    # once the moments through ``lead`` pass; a call that raises keeps nothing.
+    # The one write, ``kept[1] = ...``, swaps in a new tuple and changes no
+    # dict or list a caller or thread may be reading.  It needs no lock: of two
+    # threads extending at once the later store wins, which loses depth.
+    points, scale = lattice(offsets)
+    sums = power_sums(points, scale, *lattice(weights))
+    for i, (total, den, _) in zip(range(lead), sums):
         if total:
             raise ValueError(
-                f"nodes do not annihilate degree {i}: moment sum {Fraction(total, den_i)}"
+                f"nodes do not annihilate degree {i}: moment sum {Fraction(total, den)}"
             )
-    total, den_i = next(sums)
-    if total != math.factorial(lead) * den_i:
+    total, den, terms = next(sums)
+    factorial = math.factorial(lead)
+    if total != factorial * den:
         raise ValueError(
-            f"lead moment is {Fraction(total, den_i)}, expected {lead}! "
+            f"lead moment is {Fraction(total, den)}, expected {lead}! "
             "for a normalized derivative approximation"
         )
-    return [grid, (lead, {})]
+    return [(points, scale), (lead, {}, terms, den, factorial)]
 
 
 def error_series(expr: OperatorExpr, truncation: int) -> ErrorSeries:

@@ -121,6 +121,15 @@ class TestWord:
         assert expr.base_shift == expr.spacing_factor == Fraction(value)
         assert type(expr.base_shift) is type(expr.spacing_factor) is Fraction
 
+    def test_default_shift_and_spacing_are_shared_fractions(self):
+        # an ``int`` default would make a new ``Fraction`` for every word
+        bare, default = word(), gridops.OperatorExpr()
+        assert bare.base_shift is default.base_shift == 0
+        assert bare.spacing_factor is default.spacing_factor == 1
+        first, second = word(fwd=3), word(fwd=3)
+        assert first.base_shift is second.base_shift is bare.base_shift
+        assert first.spacing_factor is second.spacing_factor is bare.spacing_factor
+
 
 class TestExpand:
     @pytest.mark.parametrize("spacing", [1, 3, Fraction(2, 5)], ids=str)

@@ -427,19 +427,26 @@ class TestSeriesMemo:
     def test_a_deeper_request_extends_and_a_shallower_one_reads_the_prefix(
         self, empty_cache, monkeypatch
     ):
-        starts = []
+        moments = []
         real = taylorseries.power_sums
 
         def recording(*args):
-            starts.append(args[4])
-            return real(*args)
+            for total, den, terms in real(*args):
+                moments.append(Fraction(total, den))
+                yield total, den, terms
 
         monkeypatch.setattr(taylorseries, "power_sums", recording)
+        expr = word(cent=3, avg=1)
+        counts = []
         for truncation in (6, 9, 4, 9, 12):
-            error_series(word(cent=3, avg=1), truncation)
-        # checked from degree 0 through the lead 3, computed past the lead,
-        # extended past 6 and past 9; the rest were read
-        assert starts == [0, 4, 7, 10]
+            before = len(moments)
+            got = error_series(expr, truncation)
+            assert got.coeffs == power_sum_series(expand(expr), 3, truncation)
+            counts.append(len(moments) - before)
+        # degrees 0-6 on the miss, 7-9 resumed, 10-12 resumed; 4 and 9 are read
+        assert counts == [7, 3, 0, 0, 3]
+        nodes = expand(expr)
+        assert moments == [sum(w * o**i for o, w in nodes.items()) for i in range(13)]
 
     def test_concurrent_requests_equal_the_uncached_loop(self, empty_cache):
         words = [word(fwd=2), word(cent=3, avg=1), word(fwd=1, bwd=2, spacing=3), word(avg=2, fwd=1)]
