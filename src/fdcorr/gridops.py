@@ -133,7 +133,9 @@ def expand(expr: OperatorExpr) -> dict[Rational, Rational]:
 
 
 # One entry per operator here, per node set in ``taylorseries._kept``: the named
-# families up to the order cap ``cli.MAX_ORDER`` use 997 of each.
+# families up to the order cap ``cli.MAX_ORDER`` use 997 of each.  The stencil
+# memos ``stencil._checked`` and ``stencil._solved`` hold one per distinct stencil,
+# 795 of them there.
 _CACHE_SIZE = 1024
 
 

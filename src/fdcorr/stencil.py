@@ -12,11 +12,14 @@ It approximates to order ``q`` exactly when the moment conditions hold:
 the Lagrange interpolant on integer-scaled offsets (Fornberg 1988, Math.
 Comp. 51).  It reads only the offsets and ``m``, never the correction
 engine's words, series or coefficients, so it stays the independent ground
-truth every generated stencil is compared against.
+truth every generated stencil is compared against.  :func:`verify` and
+:func:`oracle_weights` check their inputs on every call and then answer a
+stencil they have already done from a per-process memo keyed by integers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
@@ -26,7 +29,7 @@ from .defcor import CorrectionFormula
 from .exactmath import (
     Rational, RationalLike, exact, format_rational, lattice, power_sums, ratios
 )
-from .gridops import expand
+from .gridops import _CACHE_SIZE, expand
 
 __all__ = [
     "Stencil",
@@ -148,13 +151,14 @@ def oracle_weights(
     Weights come back in input order.  ``q`` is an optional claimed order
     used only to check the node count can support it (``m + q`` nodes in
     general; symmetric node sets earn one parity order, so one fewer).  A
-    float offset raises ``TypeError``.
+    float offset raises ``TypeError``.  These checks run on every call; the
+    solve runs once per ``m`` and node set in a process, which
+    :func:`_solved` keeps keyed by the offsets' integer ratios, and every
+    call returns a fresh list.
     """
-    x = [exact(o) for o in offsets]
-    n = len(x)
-    scale = math.lcm(*(o.denominator for o in x))
-    a = [o.numerator * (scale // o.denominator) for o in x]
-    if len(set(a)) != n:
+    pairs = tuple(ratios([exact(o) for o in offsets]))
+    n = len(pairs)
+    if len(set(pairs)) != n:
         raise ValueError("offsets must be distinct")
     if not 0 <= m < n:
         raise ValueError(f"need more than {m} nodes for derivative order {m}")
@@ -162,7 +166,15 @@ def oracle_weights(
         raise ValueError(
             f"{n} nodes cannot support derivative {m} at order {q}"
         )
+    return list(_solved(m, pairs))
 
+
+@functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
+def _solved(m: int, offsets: tuple[tuple[int, int], ...]) -> tuple[Rational, ...]:
+    # ``typed``: an ``m`` of another type (``1.0``, ``True``) is its own key,
+    # so it fails or passes as an uncached call would.
+    a, scale = lattice(offsets)
+    n = len(a)
     product = [1]  # P's coefficients, highest power first
     for a_i in a:
         product = [hi - a_i * lo for hi, lo in zip(product + [0], [0] + product)]
@@ -175,7 +187,7 @@ def oracle_weights(
             value = value * a_j + carry
             quotient.append(carry)
         weights.append(Fraction(numerator * quotient[n - 1 - m], value))
-    return weights
+    return tuple(weights)
 
 
 class StencilCheck(namedtuple(
@@ -209,23 +221,37 @@ def verify(stencil: Stencil) -> StencilCheck:
     """Check every moment condition and recompute the error constant.
 
     Failures are reported, not raised, so callers can decide what a broken
-    stencil means for them; a node that is not an ``int`` or ``Fraction``
-    raises ``TypeError``.
+    stencil means for them; a node or error constant that is not an ``int``
+    or ``Fraction`` raises ``TypeError``.  Each distinct stencil is checked
+    once per process: :func:`_checked` keeps its report keyed by ``m``, the
+    order and the integer ratios of the nodes and the error constant.
     """
-    m, top = stencil.m, stencil.m + stencil.order
+    return _checked(
+        stencil.m,
+        stencil.order,
+        tuple(ratios(stencil.offsets)),
+        tuple(ratios(stencil.weights)),
+        *ratios([stencil.error_constant]),
+    )
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
+def _checked(m, order, offsets, weights, error_constant) -> StencilCheck:
+    # ``typed`` as in ``_solved``; the report is an immutable tuple, so calls share it.
+    top = m + order
     first_failed = failed_value = None
     factorial = 1
-    sums = power_sums(*lattice(ratios(stencil.offsets)), *lattice(ratios(stencil.weights)))
+    sums = power_sums(*lattice(offsets), *lattice(weights))
     for r, (total, den, _) in zip(range(top + 1), sums):
         factorial *= r or 1
         if r == top:
             recomputed = Fraction(total, den * factorial)
         elif first_failed is None and total != (factorial * den if r == m else 0):
             first_failed, failed_value = r, Fraction(total, den)
-    matches = recomputed == stencil.error_constant
+    matches = recomputed.as_integer_ratio() == error_constant
     return StencilCheck(
         ok=first_failed is None and matches,
-        claimed_order=stencil.order,
+        claimed_order=order,
         first_failed_moment=first_failed,
         failed_value=failed_value,
         recomputed_error_constant=recomputed,

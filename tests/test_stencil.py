@@ -23,6 +23,8 @@ from fdcorr import (
     verify,
     word,
 )
+from fdcorr import stencil
+from fdcorr.cli import formula_from_id
 from fdcorr.defcor import catalog
 
 
@@ -286,12 +288,107 @@ class TestVerify:
             verify(st)
         assert str(excinfo.value) == f"exact rational expected (int or Fraction), got {bad}"
 
+    def test_a_float_error_constant_is_named_in_a_type_error(self):
+        # -3/128 exactly, and a float node already raises
+        st = flatten(formula_from_id("CA4"))
+        assert st.error_constant == -0.0234375 and verify(st).ok
+        with pytest.raises(TypeError) as excinfo:
+            verify(st._replace(error_constant=-0.0234375))
+        assert str(excinfo.value) == "exact rational expected (int or Fraction), got -0.0234375"
+
     def test_int_nodes_pass(self):
         ints = Stencil(
             m=2, order=2, offsets=(-1, 0, 1), weights=(1, -2, 1), error_constant=frac(1, 12)
         )
         assert verify(ints) == verify(flatten(general_defcor(2, 2, [], base=word(fwd=1, bwd=1))))
         assert verify(ints).ok
+
+
+@pytest.fixture
+def empty_memos():
+    """The process's check and oracle memos, cleared before the test and after it."""
+    memos = stencil._checked, stencil._solved
+    for memo in memos:
+        memo.cache_clear()
+    yield memos
+    for memo in memos:
+        memo.cache_clear()
+
+
+def entries(memo):
+    return memo.cache_info().currsize
+
+
+class TestMemos:
+    @pytest.mark.parametrize("first, second", [("FC6", "BC6"), ("C8", "IC8")])
+    def test_equal_stencils_built_apart_share_one_entry(self, empty_memos, first, second):
+        a, b = flatten(formula_from_id(first)), flatten(formula_from_id(second))
+        assert a.weights is not b.weights and a._replace(provenance=b.provenance) == b
+        assert verify(a) is verify(b)
+        assert oracle_weights(a.offsets, a.m, a.order) == oracle_weights(b.offsets, b.m, b.order)
+        assert [entries(memo) for memo in empty_memos] == [1, 1]
+
+    def test_each_m_order_and_error_constant_gets_its_own_check(self, empty_memos):
+        st = flatten(centered_formula(1))
+        variants = [
+            st._replace(m=2),
+            st._replace(order=6),
+            st._replace(error_constant=frac(1, 7)),
+            st._replace(error_constant=-st.error_constant),
+        ]
+        passing = verify(st)
+        assert passing.ok
+        failing = [verify(v) for v in variants]
+        assert [(c.ok, c.claimed_order, c.first_failed_moment) for c in failing] == [
+            (False, 4, 1), (False, 6, 5), (False, 4, None), (False, 4, None)
+        ]
+        assert entries(stencil._checked) == 1 + len(variants)
+        # an entry answers only its own key, in either order of caching
+        stencil._checked.cache_clear()
+        assert [verify(v) for v in variants] == failing
+        assert verify(st) == passing
+
+    def test_a_check_of_int_nodes_is_the_check_of_their_fractions(self, empty_memos):
+        ints = Stencil(m=2, order=2, offsets=(-1, 0, 1), weights=(1, -2, 1), error_constant=frac(1, 12))
+        fractions = Stencil(2, 2, tuple(map(frac, ints.offsets)), tuple(map(frac, ints.weights)), frac(1, 12))
+        assert verify(ints) is verify(fractions)
+
+    def test_a_returned_weight_list_is_the_callers_own(self, empty_memos):
+        first = oracle_weights([-1, 0, 1], 1)
+        first[0] = frac(7)
+        first.append(frac(1))
+        assert oracle_weights([-1, 0, 1], 1) == [frac(-1, 2), frac(0), frac(1, 2)]
+        assert entries(stencil._solved) == 1
+
+    def test_every_oracle_check_runs_after_an_equal_call_was_cached(self, empty_memos):
+        oracle_weights([0, 1, 2], 1, q=2)
+        with pytest.raises(ValueError, match="distinct"):
+            oracle_weights([0, 1, 2, Fraction(4, 2)], 1)
+        with pytest.raises(ValueError, match="3 nodes cannot support derivative 1 at order 4"):
+            oracle_weights([0, 1, 2], 1, q=4)
+        with pytest.raises(ValueError, match="need more than 3 nodes for derivative order 3"):
+            oracle_weights([0, 1, 2], 3)
+        with pytest.raises(TypeError, match="got 2.0"):
+            oracle_weights([0, 1, 2.0], 1)
+        with pytest.raises(TypeError):
+            oracle_weights([0, 1, 2], 1.0)
+        assert entries(stencil._solved) == 1
+
+    def test_every_check_of_verify_runs_after_an_equal_stencil_was_cached(self, empty_memos):
+        st = flatten(standard_forward(3))
+        assert verify(st).ok
+        floats = [
+            st._replace(offsets=tuple(map(float, st.offsets))),
+            st._replace(weights=st.weights[:-1] + (float(st.weights[-1]),)),
+            st._replace(error_constant=float(st.error_constant)),
+        ]
+        for bad in floats:
+            with pytest.raises(TypeError, match="exact rational expected"):
+                verify(bad)
+        for bad in (st._replace(m=1.0), st._replace(order=3.0)):
+            with pytest.raises(TypeError):
+                verify(bad)
+        assert entries(stencil._checked) == 1
 
 
 class TestFlattenCoefficientTypes:

@@ -22,7 +22,7 @@ from fdcorr import (
     series_from_nodes,
     word,
 )
-from fdcorr import gridops, taylorseries
+from fdcorr import gridops, stencil, taylorseries
 from fdcorr.cli import MAX_ORDER
 from fdcorr.defcor import FAMILIES, CorrectionFormula
 from fdcorr.exactmath import ratios
@@ -488,7 +488,10 @@ class TestSeriesMemo:
 
 
 def test_the_cache_bound_holds_every_family_word_to_the_order_cap(monkeypatch):
-    """Both caches keep every operator and node set of every named family to ``MAX_ORDER``."""
+    """The word caches keep every operator and node set of every named family to ``MAX_ORDER``.
+
+    One bound serves all four caches; the stencil memos need 795 entries there.
+    """
     words = set()
 
     def recording(m, order, choices, base=None):
@@ -516,7 +519,7 @@ def test_the_cache_bound_holds_every_family_word_to_the_order_cap(monkeypatch):
     node_sets = {(tuple(ratios(n)), tuple(ratios(n.values())), lead) for n, lead in expansions}
     assert len(words) == len(keys) == len(node_sets) == 997
     assert all(type(k) is int for key in keys for k in key)
-    for cache in (cached, taylorseries._kept):
+    for cache in (cached, taylorseries._kept, stencil._checked, stencil._solved):
         assert cache.cache_info().maxsize == gridops._CACHE_SIZE >= 997
 
 
