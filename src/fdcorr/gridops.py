@@ -60,7 +60,9 @@ class OperatorExpr(
     :func:`normalize_composite` to express equivalent re-anchored words).
     ``spacing_factor`` scales the word's step relative to the global spacing.
     Both are exact (``int``, ``Fraction`` or ``str``); a float raises ``TypeError``.
-    An immutable named tuple: ``expr._replace(...)`` makes a checked copy.
+    The four powers are nonnegative ``int`` values; a power of another type
+    raises ``TypeError`` naming its field.  An immutable named tuple:
+    ``expr._replace(...)`` makes a checked copy.
     """
 
     __slots__ = ()
@@ -75,6 +77,8 @@ class OperatorExpr(
         spacing_factor: RationalLike = _ONE,
     ) -> OperatorExpr:
         for name, power in zip(cls._fields, (p_fwd, p_bwd, p_cent, p_avg)):
+            if not isinstance(power, int):
+                raise TypeError(f"{name} must be an int, got {power!r}")
             if power < 0:
                 raise ValueError(f"{name} must be nonnegative")
         base_shift = exact(base_shift)

@@ -408,15 +408,21 @@ class TestGeneralEngine:
             general_defcor(2, 2, [], base=word(fwd=1))
 
     @pytest.mark.parametrize(
-        "m, order, message",
+        "m, order, expected",
         [
-            (-1, 2, "derivative order m must be nonnegative"),
-            (1, 0, "target order must be positive"),
+            (-1, 2, ValueError("derivative order m must be nonnegative")),
+            (1, 0, ValueError("target order must be positive")),
+            # named on entry, not met deep inside the engine
+            (1.0, 4, TypeError("derivative order m must be an int, got 1.0")),
+            (1, 4.0, TypeError("target order must be an int, got 4.0")),
+            ("1", 4, TypeError("derivative order m must be an int, got '1'")),
         ],
+        ids=str,
     )
-    def test_out_of_range_arguments_rejected(self, m, order, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+    def test_out_of_range_arguments_rejected(self, m, order, expected):
+        with pytest.raises(type(expected)) as excinfo:
             general_defcor(m, order, [])
+        assert type(excinfo.value) is type(expected) and str(excinfo.value) == str(expected)
 
     def test_fractional_step_corrections(self):
         # half-step correction words exercise the variable-spacing path

@@ -51,20 +51,49 @@ def test_the_cli_loads_only_the_standard_library():
 # ``inspect``, ``ast`` and ``dis`` it loads) costs about as much to import as
 # all of ``fdcorr.cli`` does without it.  Only ``study`` evaluates in floats.
 _COLD = {"dataclasses", "inspect", "typing", "pathlib", "json", "fdcorr.numdiff"}
+# The five exact modules, which ``fdcorr.cli`` imports; ``import fdcorr`` runs
+# none of them, nor ``fractions`` (with the ``decimal`` it brings).
+_EXACT = {f"fdcorr.{short}" for short in MODULES if short != "numdiff"}
 
 
 @pytest.mark.parametrize(
-    "statement, absent",
+    "statement, submodules, absent",
     [
-        ("import fdcorr", _COLD | {"argparse"}),
-        ("import fdcorr.cli", _COLD),
+        ("import fdcorr", set(), _COLD | {"argparse", "fractions", "decimal"}),
+        ("import fdcorr.cli", _EXACT | {"fdcorr.cli"}, _COLD),
         # the import system first asks the package for ``cli``
-        ("from fdcorr import cli", _COLD),
+        ("from fdcorr import cli", _EXACT | {"fdcorr.cli"}, _COLD),
+        # a name loads the modules in dependency order up to the one exporting it
+        ("from fdcorr import binom", {"fdcorr.exactmath"}, _COLD | {"argparse"}),
+        ("from fdcorr import flatten", _EXACT, _COLD | {"argparse"}),
     ],
-    ids=["fdcorr", "fdcorr.cli", "from fdcorr import cli"],
+    ids=["fdcorr", "fdcorr.cli", "from fdcorr import cli", "from fdcorr import binom",
+         "from fdcorr import flatten"],
 )
-def test_the_import_loads_nothing_its_commands_do_not_run(statement, absent):
-    assert sorted(_loaded_by(statement) & absent) == []
+def test_the_import_loads_nothing_its_commands_do_not_run(statement, submodules, absent):
+    loaded = _loaded_by(statement)
+    assert sorted(loaded & absent) == []
+    assert sorted(name for name in loaded if name.startswith("fdcorr.")) == sorted(submodules)
+
+
+_PROBES = """
+import sys, fdcorr
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith("fdcorr."))
+print(hasattr(fdcorr, "_SINES"), hasattr(fdcorr, "_missing"), hasattr(fdcorr, "cli"), loaded())
+print(fdcorr.gridops.__name__, loaded())
+print(hasattr(fdcorr, "missing"), loaded() == [f"fdcorr.{short}" for short in sorted(fdcorr._MODULES)])
+"""
+
+
+def test_a_name_loads_only_the_modules_it_needs():
+    # Underscore names and ``cli`` load nothing; a module's name loads it and
+    # what it imports; a name no module exports is looked for in all six.
+    assert _fresh(_PROBES).splitlines() == [
+        "True False False []",
+        "fdcorr.gridops ['fdcorr.exactmath', 'fdcorr.gridops']",
+        "False True",
+    ]
 
 
 # The package's names before ``numdiff`` loaded on first use; the star-import binds them all.
@@ -107,3 +136,8 @@ print({*fdcorr.__all__, "numdiff"} <= listed,
       fdcorr.convergence_studies is fdcorr.numdiff.convergence_studies)
 """
     assert _fresh(code) == "True True\n"
+
+
+def test_dir_lists_every_public_name_and_module():
+    code = 'import fdcorr; print(*(name for name in dir(fdcorr) if name[0] != "_"))'
+    assert _fresh(code).split() == sorted([*_PUBLIC, *MODULES])
