@@ -25,6 +25,7 @@ from collections.abc import Sequence
 from . import _SINES
 from .defcor import FAMILIES, CorrectionFormula, Family, catalog, family_named
 from .exactmath import Rational, format_rational
+from .gridops import _CACHE_SIZE
 from .stencil import FlattenError, Stencil, flatten, oracle_weights, verify
 
 __all__ = ["main", "console_main", "parse_formula_id", "formula_from_id"]
@@ -90,6 +91,16 @@ def parse_formula_id(formula_id: str) -> tuple[str, int]:
 def formula_from_id(formula_id: str) -> CorrectionFormula:
     name, p = parse_formula_id(formula_id)
     return family_named(name).formula(p)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _stencil(name: str, p: int) -> Stencil:
+    """The verified stencil of row ``name`` at ``p``, built once per process.
+
+    Keyed by what :func:`parse_formula_id` returns, so every spelling of a
+    formula shares one entry; the provenance is the formula's label.
+    """
+    return flatten(family_named(name).formula(p))
 
 
 def _json_dumps(obj: object, pad: str = "\n") -> str:
@@ -162,7 +173,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 
 
 def cmd_stencil(args: argparse.Namespace) -> int:
-    st = flatten(formula_from_id(args.formula_id))
+    st = _stencil(*parse_formula_id(args.formula_id))
     print(_json_dumps(st.to_json_dict()))
     return 0
 
@@ -195,12 +206,13 @@ def cmd_study(args: argparse.Namespace) -> int:
                                                 args.h_min, args.h_factor)
     except ValueError as exc:
         raise FormulaIdError(str(exc)) from exc
-    # Every id builds before any sample is taken or any CSV written.  Ids whose
-    # stencils are equal (FC<p> and BC<p>, C<n> and IC<n>) share one report:
-    # the first id of each group stands for all of them.
+    # Every id builds before any sample is taken or any CSV written; ``firsts``
+    # holds them in id order.  Ids whose stencils are equal (FC<p> and BC<p>,
+    # C<n> and IC<n>) share one report: the first id of each group stands for
+    # all of them.
     groups: dict[tuple, tuple[Stencil, list[str]]] = {}
-    for formula_id in ids:
-        s = flatten(formula_from_id(formula_id))
+    for key, formula_id in firsts.items():
+        s = _stencil(*key)
         groups.setdefault((s.m, s.offsets, s.weights), (s, []))[1].append(formula_id)
     # This call takes every sample, so a sample that fails leaves no directory.
     named = [(group[0], s) for s, group in groups.values()]

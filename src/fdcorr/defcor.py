@@ -117,10 +117,11 @@ def general_defcor(
     Its ``family`` and ``label`` are the defaults; a named family's formulas
     take theirs from the family's :data:`FAMILIES` row.  The residual error
     series is evaluated only where it is read.  ``m`` and ``order`` must be
-    ``int`` values; any other type raises ``TypeError`` naming the argument.
+    ``int`` values; any other type, ``bool`` included, raises ``TypeError``
+    naming the argument.
     """
     for label, value in (("derivative order m", m), ("target order", order)):
-        if not isinstance(value, int):
+        if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
             raise TypeError(f"{label} must be an int, got {value!r}")
     if m < 0:
         raise ValueError("derivative order m must be nonnegative")

@@ -60,9 +60,9 @@ class OperatorExpr(
     :func:`normalize_composite` to express equivalent re-anchored words).
     ``spacing_factor`` scales the word's step relative to the global spacing.
     Both are exact (``int``, ``Fraction`` or ``str``); a float raises ``TypeError``.
-    The four powers are nonnegative ``int`` values; a power of another type
-    raises ``TypeError`` naming its field.  An immutable named tuple:
-    ``expr._replace(...)`` makes a checked copy.
+    The four powers are nonnegative ``int`` values; a power of another type,
+    ``bool`` included, raises ``TypeError`` naming its field.  An immutable
+    named tuple: ``expr._replace(...)`` makes a checked copy.
     """
 
     __slots__ = ()
@@ -77,7 +77,8 @@ class OperatorExpr(
         spacing_factor: RationalLike = _ONE,
     ) -> OperatorExpr:
         for name, power in zip(cls._fields, (p_fwd, p_bwd, p_cent, p_avg)):
-            if not isinstance(power, int):
+            # a plain ``int`` passes on its type alone; ``bool`` subclasses ``int``
+            if type(power) is not int and (isinstance(power, bool) or not isinstance(power, int)):
                 raise TypeError(f"{name} must be an int, got {power!r}")
             if power < 0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -139,7 +140,8 @@ def expand(expr: OperatorExpr) -> dict[Rational, Rational]:
 # One entry per operator here, per node set in ``taylorseries._kept``: the named
 # families up to the order cap ``cli.MAX_ORDER`` use 997 of each.  The stencil
 # memos ``stencil._checked`` and ``stencil._solved`` hold one per distinct stencil,
-# 795 of them there.
+# 795 of them there.  ``cli._stencil`` holds one per formula id, ``(row, p)``:
+# 1192 up to the cap, so past 1024 the least recently used id is built again.
 _CACHE_SIZE = 1024
 
 

@@ -27,6 +27,13 @@ from fdcorr.stencil import FlattenError, flatten
 from test_numdiff import STUDY_IDS
 
 
+@pytest.fixture(autouse=True)
+def empty_stencil_memo():
+    """Start each test with no stencil built, so a formula an earlier test
+    built cannot skip the engine or ``flatten`` a test patches."""
+    fdcorr.cli._stencil.cache_clear()
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -326,6 +333,13 @@ class TestStencil:
             main(["stencil", "Z9"])
         assert excinfo.value.code == 2
 
+    def test_spellings_of_one_formula_share_one_build(self, capsys):
+        outputs = [run(capsys, "stencil", fid) for fid in ("C4", "c4", "centered:p=1")]
+        assert outputs == [outputs[0]] * 3
+        assert json.loads(outputs[0][1])["provenance"] == "C4"
+        info = fdcorr.cli._stencil.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
 
 # Every id the benchmark's ``deep`` workload can draw.
 DEEP_IDS = [f"{prefix}{order}" for prefix in ("B", "F", "BC", "FC") for order in range(33, 37)]
@@ -536,6 +550,23 @@ class TestStudy:
         for pair in [("BC6", "FC6"), ("C6", "IC6")]:
             first, second = ((tmp_path / "all" / f"{fid}.csv").read_bytes() for fid in pair)
             assert first == second
+
+    def test_a_repeated_request_builds_no_formula(self, capsys, monkeypatch, tmp_path):
+        ids = ["C4", "BC6", "FC6", "IC4"]
+        argv = ["study", ",".join(ids), "sin100pi", "0.1", "--csv-dir"]
+        first, second = tmp_path / "first", tmp_path / "second"
+        code, out, _ = run(capsys, *argv, str(first))
+        assert code == 0
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a formula was built again")
+
+        monkeypatch.setattr(fdcorr.defcor, "general_defcor", no_build)
+        monkeypatch.setattr(fdcorr.cli, "flatten", no_build)
+        assert run(capsys, *argv, str(second)) == (0, out.replace(str(first), str(second)), "")
+        for formula_id in ids:
+            got = (second / f"{formula_id}.csv").read_bytes()
+            assert got == (first / f"{formula_id}.csv").read_bytes()
 
     def test_each_distinct_stencil_is_reported_once(self, capsys, monkeypatch, tmp_path):
         received = []

@@ -416,6 +416,8 @@ class TestGeneralEngine:
             (1.0, 4, TypeError("derivative order m must be an int, got 1.0")),
             (1, 4.0, TypeError("target order must be an int, got 4.0")),
             ("1", 4, TypeError("derivative order m must be an int, got '1'")),
+            (True, 2, TypeError("derivative order m must be an int, got True")),
+            (1, True, TypeError("target order must be an int, got True")),
         ],
         ids=str,
     )

@@ -106,6 +106,9 @@ class TestWord:
             ({"bwd": Fraction(1)}, TypeError("p_bwd must be an int, got Fraction(1, 1)")),
             ({"cent": 2.0}, TypeError("p_cent must be an int, got 2.0")),
             ({"cent": "2"}, TypeError("p_cent must be an int, got '2'")),
+            # ``bool`` subclasses ``int``, but no power is a truth value
+            ({"fwd": True, "bwd": 1}, TypeError("p_fwd must be an int, got True")),
+            ({"avg": False}, TypeError("p_avg must be an int, got False")),
         ],
         ids=str,
     )
